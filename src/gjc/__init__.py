@@ -12,8 +12,6 @@ from .analytic import (
     dressed_states,
     evolve,
     manifolds,
-    sigma_z_coherent,
-    sigma_z_coherent_series,
     sigma_z_fock,
     trace_observables,
 )
@@ -37,8 +35,6 @@ from .model import (
 )
 from .oracle import (
     HamiltonianMatrix,
-    PropagationConfig,
-    PropagationMethod,
     assemble,
     propagate,
     spectrum,
@@ -57,8 +53,6 @@ __all__ = [
     "ModelSpec",
     "NonlinearFn",
     "ObservableTrace",
-    "PropagationConfig",
-    "PropagationMethod",
     "QubitBosonState",
     "TruncationError",
     "assemble",
@@ -79,8 +73,6 @@ __all__ = [
     "propagate",
     "registry",
     "registry_model",
-    "sigma_z_coherent",
-    "sigma_z_coherent_series",
     "sigma_z_fock",
     "spectrum",
     "susy_hamiltonian",

@@ -4,7 +4,7 @@ Builds the nilpotent charges, the SUSY-partner Hamiltonian, the total
 excitation number and the scaled Pauli-z operator on the truncated space,
 and verifies every algebraic relation among them as a matrix identity.
 
-Basis ordering is fixed so matrix dumps are comparable across runs:
+Basis ordering is fixed:
 index = row * (n_max + 1) + n with row 0 = excited, row 1 = ground.
 """
 
@@ -176,10 +176,3 @@ def verify_relations(spec: ModelSpec, n_max: int, guard: int | None = None) -> d
     mask = interior_mask(n_max, guard)
     return {name: _interior_max(mat, mask) for name, mat in residual_mats.items()}
 
-
-def dump_matrix_csv(mat: np.ndarray, fh) -> None:
-    """Write the nonzero entries as 'row,col,re,im' lines."""
-    rows, cols = np.nonzero(mat)
-    for r, c in zip(rows, cols):
-        z = complex(mat[r, c])
-        fh.write(f"{r},{c},{z.real!r},{z.imag!r}\n")

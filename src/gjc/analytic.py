@@ -15,13 +15,13 @@ provides the independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import ladder_factor
-from .model import DEFAULT_N_MAX, ModelSpec
-from .states import QubitBosonState, coherent_state, observables
+from .model import ModelSpec
+from .states import QubitBosonState, check_leak, observables
 
 
 def aux_two_point(spec: ModelSpec, n_total: float):
@@ -228,7 +228,10 @@ def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
 
 
 def evolve(spec: ModelSpec, initial: QubitBosonState, times):
-    """Exact evolution of ``initial``; one state per requested time."""
+    """Exact evolution of ``initial``; one state per requested time.
+
+    A per-state view of evolve_amplitudes for library use; no leak check.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     amp_e, amp_g = evolve_amplitudes(spec, initial, times)
     return [
@@ -255,66 +258,24 @@ def sigma_z_fock(manifold: Manifold, t):
     return cos_b**2 + sin_b**2 * np.cos(split * np.asarray(t, dtype=float))
 
 
-def sigma_z_coherent(spec: ModelSpec, alpha: complex, times, n_max: int = DEFAULT_N_MAX):
-    """Population inversion trace for the initial state |g, alpha>.
-
-    Always computed through exact amplitude evolution (the general path);
-    see sigma_z_coherent_series for the fixed-frequency series form.
-    """
-    initial = coherent_state("g", alpha, n_max)
-    trace = trace_observables(spec, initial, times)
-    return trace.sigma_z
-
-
-def sigma_z_coherent_series(spec: ModelSpec, alpha: complex, times, j_max: int | None = None):
-    """Poisson-weighted sum of single-manifold inversion formulas.
-
-    Diagnostic evaluator: sum_j e^{-|a|^2} |a|^(2j)/j! * inversion of the
-    manifold with lower index j.  Because each weight multiplies the
-    |e, j>-initial formula, this series equals the exact trace for the
-    initial state |e, alpha> (not |g, alpha>); production observables come
-    from evolve().
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    mean = abs(alpha) ** 2
-    if j_max is None:
-        j_max = int(math.ceil(mean + 10.0 * math.sqrt(mean) + 20.0))
-    total = np.zeros_like(times)
-    weight = math.exp(-mean)
-    for j in range(j_max + 1):
-        if weight > 0.0:
-            total = total + weight * sigma_z_fock(build_manifold(spec, j), times)
-        weight = weight * mean / (j + 1)
-    return total
-
-
 @dataclass(frozen=True)
 class ObservableTrace:
-    """Time series of (<sigma_z>, <n>, <x>, <y>) with run metadata."""
+    """Time series of (<sigma_z>, <n>, <x>, <y>)."""
 
     times: np.ndarray
     sigma_z: np.ndarray
     n_mean: np.ndarray
     x_mean: np.ndarray
     y_mean: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
-def trace_observables(spec: ModelSpec, initial: QubitBosonState, times, meta=None) -> ObservableTrace:
-    """Evolve, then record all four observables on the time grid."""
+def trace_observables(spec: ModelSpec, initial: QubitBosonState, times) -> ObservableTrace:
+    """Evolve, then record all four observables on the time grid.
+
+    Raises TruncationError if the top 2k Fock levels ever hold more
+    population than the leak tolerance, exactly as the oracle does.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    states = evolve(spec, initial, times)
-    rows = np.array([observables(s) for s in states])
-    return ObservableTrace(
-        times=times,
-        sigma_z=rows[:, 0],
-        n_mean=rows[:, 1],
-        x_mean=rows[:, 2],
-        y_mean=rows[:, 3],
-        meta=dict(meta or {}),
-    )
-
-
-def default_time_grid():
-    """The figure-reproduction grid: 0..200 (units of 1/omega0), 2001 points."""
-    return np.linspace(0.0, 200.0, 2001)
+    amp_e, amp_g = evolve_amplitudes(spec, initial, times)
+    check_leak(amp_e, amp_g, 2 * spec.k)
+    return ObservableTrace(times, *observables(amp_e, amp_g))

@@ -8,7 +8,6 @@ away.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 from .errors import TruncationError
 
 EPS_TRUNC_DEFAULT = 1e-12
+LEAK_TOLERANCE = 1e-10
 _NORM_TOL = 1e-12
 
 QUBIT_LEVELS = ("g", "e")
@@ -60,24 +60,6 @@ class QubitBosonState:
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amp_e) ** 2) + np.sum(np.abs(self.amp_g) ** 2))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "amp_e": [[z.real, z.imag] for z in self.amp_e],
-            "amp_g": [[z.real, z.imag] for z in self.amp_g],
-            "tail_mass": self.tail_mass,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "QubitBosonState":
-        n_max = doc["n_max"]
-        amp_e = np.array([complex(re, im) for re, im in doc["amp_e"]])
-        amp_g = np.array([complex(re, im) for re, im in doc["amp_g"]])
-        return cls(n_max=n_max, amp_e=amp_e, amp_g=amp_g, tail_mass=doc.get("tail_mass", 0.0))
 
 
 def _check_qubit(qubit: str) -> str:
@@ -140,20 +122,48 @@ def coherent_state(
     return QubitBosonState(n_max=n_max, amp_e=zeros, amp_g=coeffs, tail_mass=tail)
 
 
-def observables(state: QubitBosonState):
-    """(<sigma_z>, <n>, <x>, <y>) for a normalized state.
+def check_leak(amp_e, amp_g, guard: int) -> None:
+    """Raise TruncationError if the top ``guard`` Fock levels ever hold more
+    population than LEAK_TOLERANCE.
 
+    ``amp_e`` and ``amp_g`` are amplitude matrices of shape (n_max+1, T);
+    the guard is clamped to n_max.
+    """
+    n_max = amp_e.shape[0] - 1
+    guard = min(guard, n_max)
+    lo = n_max - guard + 1
+    top = np.concatenate([amp_e[lo:], amp_g[lo:]], axis=0)
+    leak = float(np.max(np.sum(np.abs(top) ** 2, axis=0))) if top.size else 0.0
+    if leak > LEAK_TOLERANCE:
+        suggestion = 2 * n_max
+        raise TruncationError(
+            f"population {leak:.3e} in the top {guard} Fock level(s) exceeds "
+            f"{LEAK_TOLERANCE:g}; raise n_max (suggestion: {suggestion})",
+            suggested_n_max=suggestion,
+        )
+
+
+def observables(amp_e, amp_g):
+    """(<sigma_z>, <n>, <x>, <y>) of a normalized state.
+
+    Amplitude vectors of length n_max+1 give four floats; amplitude matrices
+    of shape (n_max+1, T) give four arrays of length T, one entry per column.
     Quadratures follow the x = (a^dag + a)/2, y = i(a^dag - a)/2 convention,
     so <x> + i<y> equals the mean boson amplitude <a>.
     """
-    pe = np.abs(state.amp_e) ** 2
-    pg = np.abs(state.amp_g) ** 2
-    sigma_z = float(np.sum(pe) - np.sum(pg))
-    ns = np.arange(state.n_max + 1)
-    n_mean = float(np.sum(ns * (pe + pg)))
+    # Rows of a C-contiguous (T, n_max+1) array are summed in the same
+    # pairwise order as a 1-D np.sum, so each column gives the vector's bits.
+    e = np.ascontiguousarray(np.transpose(amp_e))
+    g = np.ascontiguousarray(np.transpose(amp_g))
+    pe = np.abs(e) ** 2
+    pg = np.abs(g) ** 2
+    sigma_z = np.sum(pe, axis=-1) - np.sum(pg, axis=-1)
+    ns = np.arange(e.shape[-1])
+    n_mean = np.sum(ns * (pe + pg), axis=-1)
     root = np.sqrt(ns[1:].astype(float))
-    a_mean = complex(
-        np.sum(root * np.conj(state.amp_e[:-1]) * state.amp_e[1:])
-        + np.sum(root * np.conj(state.amp_g[:-1]) * state.amp_g[1:])
+    a_mean = np.sum(root * np.conj(e[..., :-1]) * e[..., 1:], axis=-1) + np.sum(
+        root * np.conj(g[..., :-1]) * g[..., 1:], axis=-1
     )
+    if e.ndim == 1:
+        return float(sigma_z), float(n_mean), float(a_mean.real), float(a_mean.imag)
     return sigma_z, n_mean, a_mean.real, a_mean.imag

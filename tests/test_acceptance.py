@@ -47,11 +47,9 @@ def runs():
         analytic_trace = trace_observables(spec, initial, times)
 
         h = assemble(spec, N_MAX)
-        oracle_states = propagate(h, initial, times)
-        oracle_obs = np.array([observables(s) for s in oracle_states])
-        columns = np.stack(
-            [np.concatenate([s.amp_e, s.amp_g]) for s in oracle_states], axis=1
-        )
+        oracle_e, oracle_g = propagate(h, initial, times)
+        oracle_obs = np.column_stack(observables(oracle_e, oracle_g))
+        columns = np.concatenate([oracle_e, oracle_g])
         oracle_norms = np.sqrt(np.sum(np.abs(columns) ** 2, axis=0))
         energies = np.real(np.einsum("it,it->t", np.conj(columns), h.mat @ columns))
 

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from gjc.algebra import (
     basis_dim,
     build_charges,
     build_operator_set,
-    dump_matrix_csv,
     e_index,
     g_index,
     interior_mask,
@@ -202,17 +200,6 @@ class TestSectorSpectra:
             norm = np.linalg.norm(qv)
             assert norm > 0.0
             assert np.linalg.norm(h_b @ qv - lam * qv) <= 1e-9 * norm
-
-
-def test_dump_matrix_csv():
-    q_dag, _ = build_charges(JC, 2)
-    buf = io.StringIO()
-    dump_matrix_csv(q_dag, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 2  # two nonzero entries for k=1, n_max=2
-    row, col, re, im = lines[0].split(",")
-    assert (int(row), int(col)) == (e_index(0, 2), g_index(1, 2))
-    assert float(re) == 1.0 and float(im) == 0.0
 
 
 def test_ladder_factor_matches_factorials():

@@ -9,15 +9,13 @@ from gjc.analytic import (
     aux_two_point,
     build_manifold,
     dark_levels,
-    default_time_grid,
     dressed_states,
     evolve,
     manifolds,
-    sigma_z_coherent,
-    sigma_z_coherent_series,
     sigma_z_fock,
     trace_observables,
 )
+from gjc.errors import TruncationError
 from gjc.model import (
     ModelSpec,
     ONE,
@@ -220,10 +218,10 @@ class TestEvolve:
         spec = registry_model("intensity-multiboson")
         initial = coherent_state("g", 2.0, 48)
         times = np.linspace(0.0, 60.0, 13)
-        h = assemble(spec, 48)
-        for a, b in zip(evolve(spec, initial, times), propagate(h, initial, times)):
-            assert np.max(np.abs(a.amp_e - b.amp_e)) < 1e-10
-            assert np.max(np.abs(a.amp_g - b.amp_g)) < 1e-10
+        amp_e, amp_g = propagate(assemble(spec, 48), initial, times)
+        for i, a in enumerate(evolve(spec, initial, times)):
+            assert np.max(np.abs(a.amp_e - amp_e[:, i])) < 1e-10
+            assert np.max(np.abs(a.amp_g - amp_g[:, i])) < 1e-10
 
     def test_global_phase_invariance(self):
         spec = registry_model("kerr-two-photon")
@@ -236,7 +234,7 @@ class TestEvolve:
         )
         times = np.linspace(0.0, 40.0, 5)
         for a, b in zip(evolve(spec, initial, times), evolve(spec, shifted, times)):
-            for x, y in zip(observables(a), observables(b)):
+            for x, y in zip(observables(a.amp_e, a.amp_g), observables(b.amp_e, b.amp_g)):
                 assert x == pytest.approx(y, abs=1e-14)
 
     def test_small_cutoff_below_k(self):
@@ -278,34 +276,47 @@ class TestSigmaZFock:
                 assert np.max(np.abs(trace.sigma_z - sigma_z_fock(m, times))) < 1e-10
 
 
+def _sigma_z_coherent(spec, alpha, times):
+    """Inversion trace of |g, alpha> on the reference cutoff."""
+    return trace_observables(spec, coherent_state("g", alpha, 64), times).sigma_z
+
+
 class TestSigmaZCoherent:
     def test_initial_value_minus_one(self):
-        sz = sigma_z_coherent(JC, 3.0, [0.0])
+        sz = _sigma_z_coherent(JC, 3.0, [0.0])
         assert sz[0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_decoupled_constant(self):
         spec = _with_g(JC, 0.0)
-        sz = sigma_z_coherent(spec, 3.0, np.linspace(0.0, 100.0, 7))
+        sz = _sigma_z_coherent(spec, 3.0, np.linspace(0.0, 100.0, 7))
         assert np.max(np.abs(sz + 1.0)) < 1e-10
 
     def test_jc_revival_window(self):
         # collapse-and-revival: revival near t = 2*pi*sqrt(9)/g ~ 188
         times = np.linspace(150.0, 220.0, 701)
-        sz = sigma_z_coherent(JC, 3.0, times)
+        sz = _sigma_z_coherent(JC, 3.0, times)
         assert np.max(np.abs(sz)) > 0.3
 
+    @staticmethod
+    def _inversion_series(spec, alpha, times, j_max=60):
+        # sum_j e^{-|a|^2} |a|^(2j)/j! * sigma_z_fock(manifold j): the
+        # Poisson-weighted closed forms, which is the |e, alpha> trace
+        mean = abs(alpha) ** 2
+        weights = [math.exp(-mean) * mean**j / math.factorial(j) for j in range(j_max + 1)]
+        return sum(w * sigma_z_fock(build_manifold(spec, j), times) for j, w in enumerate(weights))
+
     def test_series_equals_excited_initial_trace(self):
-        # the fixed-frequency series is exactly the |e,alpha> answer
         for name in ("jc", "kerr-two-photon"):
             spec = registry_model(name)
             times = np.linspace(0.0, 60.0, 121)
-            series = sigma_z_coherent_series(spec, 2.0, times)
-            initial = coherent_state("e", 2.0, 48)
-            trace = trace_observables(spec, initial, times)
+            series = self._inversion_series(spec, 2.0, times)
+            trace = trace_observables(spec, coherent_state("e", 2.0, 48), times)
             assert np.max(np.abs(series - trace.sigma_z)) < 1e-9
 
     def test_series_initial_value(self):
-        assert sigma_z_coherent_series(JC, 3.0, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
+        # the |e, alpha> trace the series equals starts fully inverted
+        trace = trace_observables(JC, coherent_state("e", 3.0, 64), [0.0])
+        assert trace.sigma_z[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTraceObservables:
@@ -340,18 +351,12 @@ class TestTraceObservables:
             recovered = ntot - (spec.k / 2.0) * trace.sigma_z[i]
             assert recovered == pytest.approx(trace.n_mean[i], abs=1e-12)
 
-    def test_meta_passthrough(self):
-        trace = trace_observables(
-            JC, fock_state("g", 0, 4), [0.0], meta={"label": "run-1"}
-        )
-        assert trace.meta == {"label": "run-1"}
-
-
-def test_default_time_grid():
-    grid = default_time_grid()
-    assert grid[0] == 0.0
-    assert grid[-1] == 200.0
-    assert grid.size == 2001
+    @pytest.mark.parametrize("initial", [fock_state("e", 8, 8), fock_state("g", 7, 8)])
+    def test_guard_level_population_raises(self, initial):
+        # same truncation contract as the oracle: exit 3 from the CLI
+        with pytest.raises(TruncationError) as excinfo:
+            trace_observables(JC, initial, [0.0, 1.0])
+        assert excinfo.value.suggested_n_max == 16
 
 
 def test_manifolds_cover_truncation():

@@ -197,6 +197,25 @@ class TestEvolve:
         assert code == 3
         assert "truncation" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_top_fock_level_exit_code(self, engine, tmp_path, capsys):
+        # both engines apply the same guard-level leak check
+        out = tmp_path / "trace.csv"
+        argv = ["evolve", "--model", "jc", "--nmax", "8", "--initial", "fock:e:8"]
+        assert main(argv + ["--engine", engine, "--out", str(out)]) == 3
+        assert "truncation" in capsys.readouterr().err.lower()
+        assert not out.exists()
+
+    def test_large_spectrum_both_engines(self, tmp_path):
+        # max |E| ~ 2.4e6 at this cutoff; the eigenpair check scales with it
+        out = tmp_path / "trace.csv"
+        argv = ["evolve", "--model", "q-deformed", "--nmax", "256", "--initial", "coherent:g:10"]
+        assert main(argv + ["--engine", "both", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        data = np.array([[float(x) for x in r] for r in rows])
+        assert data.shape == (2001, 9)
+        assert np.all(np.isfinite(data))
+
 
 class TestVerify:
     def test_jc_passes(self, capsys):
@@ -245,6 +264,22 @@ class TestErrors:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{broken")
         assert main(["spectrum", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tmax", "nan"),
+            ("--tmax", "inf"),
+            ("--initial", "coherent:g:nan"),
+            ("--initial", "coherent:e:inf"),
+            ("--initial", "coherent:g:1+infj"),
+        ],
+    )
+    def test_non_finite_input(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["evolve", "--model", "jc", flag, value, "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_initial_descriptor(self):
         assert main(["evolve", "--model", "jc", "--initial", "banana:g:1"]) == 1
