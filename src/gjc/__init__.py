@@ -17,9 +17,7 @@ from .analytic import (
 )
 from .algebra import (
     auxiliary_charges,
-    build_charges,
     build_operator_set,
-    susy_hamiltonian,
     verify_relations,
 )
 from .errors import ConfigError, TruncationError
@@ -59,7 +57,6 @@ __all__ = [
     "aux_binomial",
     "aux_two_point",
     "auxiliary_charges",
-    "build_charges",
     "build_manifold",
     "build_operator_set",
     "coherent_state",
@@ -75,7 +72,6 @@ __all__ = [
     "registry_model",
     "sigma_z_fock",
     "spectrum",
-    "susy_hamiltonian",
     "trace_observables",
     "verify_relations",
 ]

@@ -1,10 +1,17 @@
-"""Matrix representations of the model's graded operator algebra.
+"""Block representations of the model's graded operator algebra.
 
-Builds the nilpotent charges, the SUSY-partner Hamiltonian, the total
-excitation number and the scaled Pauli-z operator on the truncated space,
-and verifies every algebraic relation among them as a matrix identity.
+Every algebra element (the nilpotent charges, the SUSY-partner
+Hamiltonian, the total excitation number and the scaled Pauli-z operator)
+maps each manifold {|e, m>, |g, m+k>} into itself, so it is stored as a
+stack of 2x2 manifold blocks and every algebraic relation is verified
+block by block.  Each entry of a product has at most one nonzero term in
+either representation, so a block residual equals the dense Fock-basis one.
 
-Basis ordering is fixed:
+Stack layout: shape (n_max + k + 1, 2, 2); row i holds the manifold with
+slot 0 = |e, i-k> and slot 1 = |g, i>.  A slot whose Fock level lies
+outside 0..n_max is absent and carries zeros.
+
+The dense basis ordering used by the oracle is
 index = row * (n_max + 1) + n with row 0 = excited, row 1 = ground.
 """
 
@@ -43,84 +50,59 @@ def ladder_factor(n: int, k: int) -> float:
     return math.sqrt(ladder_product(n, k))
 
 
-def build_charges(spec: ModelSpec, n_max: int):
-    """The raising charge Q^dag = sigma_+ f(n) a^k and its exact adjoint.
+def _slot_levels(n_max: int, k: int) -> np.ndarray:
+    """Fock level of each (row, slot): i - k for the e slot, i for the g slot."""
+    return np.arange(n_max + k + 1)[:, None] - np.array([k, 0])
 
-    Q^dag maps |g, n+k> to f(n) * sqrt((n+k)!/n!) |e, n>; all other entries
-    vanish.  Both matrices are real, and Q is the transpose of Q^dag by
-    construction.
+
+def _diagonal(values, present: np.ndarray) -> np.ndarray:
+    """Stack of diagonal blocks carrying `values` (broadcast to the slots) on the present slots."""
+    stack = np.zeros(present.shape + (2,))
+    stack[:, [0, 1], [0, 1]] = np.where(present, values, 0.0)
+    return stack
+
+
+def build_operator_set(spec: ModelSpec, n_max: int) -> dict:
+    """All five algebra elements as stacks of 2x2 manifold blocks, keyed by label.
+
+    Q^dag = sigma_+ f(n) a^k maps |g, m+k> to f(m) * sqrt((m+k)!/m!) |e, m>
+    when both levels are present; Q is its exact blockwise transpose.  H is
+    the anticommutator {Q^dag, Q} in its exact (untruncated) diagonal form,
+    f(m)^2 (m+k)!/m! on both slots of manifold m, vanishing on the dark g
+    levels below k.  N = n + k*sigma_z/2 and B = k*sigma_z/2 are diagonal.
     """
-    if n_max < spec.k:
-        raise ConfigError(f"n_max={n_max} must be >= k={spec.k}")
-    dim = basis_dim(n_max)
-    q_dag = np.zeros((dim, dim))
-    for n in range(n_max - spec.k + 1):
-        q_dag[e_index(n, n_max), g_index(n + spec.k, n_max)] = spec.f(n) * ladder_factor(
-            n, spec.k
-        )
-    return q_dag, q_dag.T.copy()
-
-
-def susy_hamiltonian(spec: ModelSpec, n_max: int) -> np.ndarray:
-    """The anticommutator {Q^dag, Q} in its exact (untruncated) diagonal form.
-
-    Excited row at n carries f(n)^2 (n+k)!/n!; ground row at n >= k carries
-    f(n-k)^2 n!/(n-k)!; ground rows below k are the dark sector and vanish.
-    """
-    dim = basis_dim(n_max)
-    diag = np.zeros(dim)
-    for n in range(n_max + 1):
-        diag[e_index(n, n_max)] = spec.f(n) ** 2 * ladder_product(n, spec.k)
-        if n >= spec.k:
-            diag[g_index(n, n_max)] = (
-                spec.f(n - spec.k) ** 2 * ladder_product(n - spec.k, spec.k)
-            )
-    return np.diag(diag)
-
-
-def total_excitation(n_max: int, k: int) -> np.ndarray:
-    """Diagonal operator n + k*sigma_z/2: n + k/2 on the e row, n - k/2 on the g row."""
-    ns = np.arange(n_max + 1, dtype=float)
-    return np.diag(np.concatenate([ns + k / 2.0, ns - k / 2.0]))
-
-
-def scaled_sigma_z(n_max: int, k: int) -> np.ndarray:
-    """Diagonal operator k*sigma_z/2 with entries +-k/2."""
-    ones = np.ones(n_max + 1)
-    return np.diag(np.concatenate([ones * (k / 2.0), ones * (-k / 2.0)]))
+    k = spec.k
+    if n_max < k:
+        raise ConfigError(f"n_max={n_max} must be >= k={k}")
+    levels = _slot_levels(n_max, k)
+    present = (levels >= 0) & (levels <= n_max)
+    energy = np.zeros(n_max + k + 1)
+    q_dag = np.zeros((n_max + k + 1, 2, 2))
+    # Python ints: numpy integer arguments change the last bits of some f.
+    for m in range(n_max + 1):
+        f_m = spec.f(m)
+        energy[m + k] = f_m**2 * ladder_product(m, k)
+        if m <= n_max - k:
+            q_dag[m + k, 0, 1] = f_m * ladder_factor(m, k)
+    half_k = np.array([k / 2.0, -k / 2.0])
+    return {
+        "Q": q_dag.transpose(0, 2, 1).copy(),
+        "Qdag": q_dag,
+        "H": _diagonal(energy[:, None], present),
+        "N": _diagonal(levels + half_k, present),
+        "B": _diagonal(half_k, present),
+    }
 
 
 def auxiliary_charges(spec: ModelSpec, n_max: int):
-    """The Hermitian square roots of the SUSY Hamiltonian.
+    """The Hermitian square roots of the SUSY Hamiltonian, as block stacks.
 
     Q_X = Q^dag + Q and Q_Y = i (Q^dag - Q); g * Q_X is the interaction
     part of the full Hamiltonian.
     """
-    q_dag, q = build_charges(spec, n_max)
+    ops = build_operator_set(spec, n_max)
+    q_dag, q = ops["Qdag"], ops["Q"]
     return q_dag + q, 1j * (q_dag - q)
-
-
-def build_operator_set(spec: ModelSpec, n_max: int) -> dict:
-    """All five algebra elements, keyed by label."""
-    q_dag, q = build_charges(spec, n_max)
-    return {
-        "Q": q,
-        "Qdag": q_dag,
-        "H": susy_hamiltonian(spec, n_max),
-        "N": total_excitation(n_max, spec.k),
-        "B": scaled_sigma_z(n_max, spec.k),
-    }
-
-
-def interior_mask(n_max: int, guard: int) -> np.ndarray:
-    """Boolean basis mask keeping Fock indices n <= n_max - guard on both rows."""
-    keep = np.arange(n_max + 1) <= n_max - guard
-    return np.concatenate([keep, keep])
-
-
-def _interior_max(mat: np.ndarray, mask: np.ndarray) -> float:
-    sub = mat[np.ix_(mask, mask)]
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
 
 
 def verify_relations(spec: ModelSpec, n_max: int, guard: int | None = None) -> dict:
@@ -128,7 +110,8 @@ def verify_relations(spec: ModelSpec, n_max: int, guard: int | None = None) -> d
 
     The truncated a^dag^k leaks past the cutoff, so products involving the
     top k Fock levels are corrupted; the guard (default 2k, at least k)
-    excludes them.  Thresholds are applied by callers.
+    excludes them: the interior is every slot with Fock level 0..n_max-guard.
+    Thresholds are applied by callers.
     """
     if guard is None:
         guard = 2 * spec.k
@@ -141,12 +124,11 @@ def verify_relations(spec: ModelSpec, n_max: int, guard: int | None = None) -> d
     q, q_dag, ham, ntot, b = ops["Q"], ops["Qdag"], ops["H"], ops["N"], ops["B"]
     k = float(spec.k)
 
-    # Sector restrictions of H (e rows / g rows).
-    half = n_max + 1
+    # Sector restrictions of the diagonal H (e slot / g slot).
     h_f = ham.copy()
-    h_f[half:, half:] = 0.0
+    h_f[:, 1, 1] = 0.0
     h_b = ham.copy()
-    h_b[:half, :half] = 0.0
+    h_b[:, 0, 0] = 0.0
 
     q_x, q_y = auxiliary_charges(spec, n_max)
 
@@ -173,6 +155,10 @@ def verify_relations(spec: ModelSpec, n_max: int, guard: int | None = None) -> d
         "aux_Y_squared": q_y @ q_y - ham,
     }
 
-    mask = interior_mask(n_max, guard)
-    return {name: _interior_max(mat, mask) for name, mat in residual_mats.items()}
-
+    levels = _slot_levels(n_max, spec.k)
+    interior = (levels >= 0) & (levels <= n_max - guard)
+    pairs = interior[:, :, None] & interior[:, None, :]
+    return {
+        name: float(np.max(np.abs(mat), where=pairs, initial=0.0))
+        for name, mat in residual_mats.items()
+    }

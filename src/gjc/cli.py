@@ -55,10 +55,6 @@ class RunManifest:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gjc-", suffix=".tmp")
@@ -72,8 +68,28 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _header_lines(manifest: RunManifest) -> list:
-    return [f"# format: {FORMAT_VERSION}", f"# manifest: {manifest.to_json()}"]
+def _write_csv(out, manifest: RunManifest, columns: str, table, labels=None) -> None:
+    """Header lines, the column row and one line per row of `table` (after
+    its label, if any), written atomically to `out` or else to stdout.
+
+    A non-finite value means the model overflowed at this cutoff; nothing
+    is written then.
+    """
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all():
+        raise ConfigError(
+            f"non-finite result: the model overflows at n_max={manifest.n_max}"
+        )
+    row = ",".join(["%.16e"] * table.shape[1])
+    lines = [row % tuple(values) for values in table.tolist()]
+    if labels is not None:
+        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
+    header = [f"# format: {FORMAT_VERSION}", f"# manifest: {manifest.to_json()}", columns]
+    text = "\n".join(header + lines) + "\n"
+    if out:
+        _atomic_write(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _resolve_model(args):
@@ -156,38 +172,14 @@ def cmd_spectrum(args) -> int:
     manifest = RunManifest(
         mode="spectrum", model=name, config=config, n_max=args.n_max
     )
-    lines = _header_lines(manifest)
-    lines.append("kind,n_lower,N,beta,Omega,E_plus,E_minus")
+    labels, table = [], []
     for level in analytic.dark_levels(spec):
-        n_total = level.n - spec.k / 2.0
-        lines.append(
-            "dark,%d,%s,%s,%s,%s,%s"
-            % (
-                level.n,
-                _fmt(n_total),
-                _fmt(0.0),
-                _fmt(0.0),
-                _fmt(level.energy),
-                _fmt(level.energy),
-            )
-        )
+        labels.append(f"dark,{level.n}")
+        table.append((level.n - spec.k / 2.0, 0.0, 0.0, level.energy, level.energy))
     for m in analytic.manifolds(spec, args.n_max):
-        lines.append(
-            "manifold,%d,%s,%s,%s,%s,%s"
-            % (
-                m.n_lower,
-                _fmt(m.n_total),
-                _fmt(m.beta),
-                _fmt(m.rabi_frequency),
-                _fmt(m.e_plus),
-                _fmt(m.e_minus),
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        labels.append(f"manifold,{m.n_lower}")
+        table.append((m.n_total, m.beta, m.rabi_frequency, m.e_plus, m.e_minus))
+    _write_csv(args.out, manifest, "kind,n_lower,N,beta,Omega,E_plus,E_minus", table, labels)
     return EXIT_OK
 
 
@@ -225,17 +217,7 @@ def cmd_evolve(args) -> int:
     if args.engine == "both":
         columns += ["resid_sigma_z", "resid_n_mean", "resid_x_mean", "resid_y_mean"]
         data += [np.abs(a - b) for a, b in zip(data, oracle_data)]
-    data = [times, *data]
-
-    lines = _header_lines(manifest)
-    lines.append(",".join(columns))
-    for i in range(times.size):
-        lines.append(",".join(_fmt(col[i]) for col in data))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out, manifest, ",".join(columns), np.column_stack([times, *data]))
     return EXIT_OK
 
 
@@ -343,9 +325,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        # An overflowed value is reported once, as a refused CSV or a failed
+        # residual, rather than as a stream of numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:
+        print(f"error: numerical overflow at this cutoff: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)

@@ -286,7 +286,7 @@ class ModelSpec:
         for n in range(n_max + 1):
             try:
                 fe = self.f(n)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"coupling profile f invalid at n={n}: {exc}") from exc
             if not math.isfinite(fe):
                 raise ConfigError(f"coupling profile f is not finite at n={n}")
@@ -298,7 +298,7 @@ class ModelSpec:
             for name, fn in (("F", self.F), ("G", self.G)):
                 try:
                     val = fn(n)
-                except ValueError as exc:
+                except (ValueError, OverflowError) as exc:
                     raise ConfigError(f"{name} invalid at n={n}: {exc}") from exc
                 if not math.isfinite(val):
                     raise ConfigError(f"{name} is not finite at n={n}")

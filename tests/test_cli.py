@@ -281,6 +281,34 @@ class TestErrors:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--model", "q-deformed", "--nmax", "8000"],
+            ["verify", "--model", "q-deformed", "--nmax", "8000"],
+            ["spectrum", "--config", "power200.json", "--nmax", "64"],
+            ["spectrum", "--config", "k400.json", "--nmax", "450"],
+            ["evolve", "--config", "k400.json", "--nmax", "450"],
+        ],
+        ids=["q-bracket-spectrum", "q-bracket-verify", "power-200", "k400-spectrum", "k400-evolve"],
+    )
+    def test_overflow_exit1(self, argv, tmp_path, capsys, monkeypatch):
+        # an overflowing model or cutoff is a configuration error: one line, no output
+        zero = {"kind": "Zero", "params": []}
+        common = {"omega": 1.0, "omega0": 1.0, "g": 0.1, "F": zero, "G": zero}
+        docs = {
+            "power200.json": {**common, "k": 1, "f": {"kind": "PowerN", "params": [200]}},
+            "k400.json": {**common, "k": 400, "f": {"kind": "One", "params": []}},
+        }
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "result.out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_bad_initial_descriptor(self):
         assert main(["evolve", "--model", "jc", "--initial", "banana:g:1"]) == 1
         assert main(["evolve", "--model", "jc", "--initial", "fock:e"]) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gjc.algebra import e_index, g_index, total_excitation
+from gjc.algebra import e_index, g_index
 from gjc.errors import ConfigError, TruncationError
 from gjc.model import registry, registry_model
 from gjc.oracle import HamiltonianMatrix, assemble, propagate, spectrum
@@ -179,7 +179,8 @@ class TestConservation:
     def test_commutes_with_total_excitation(self):
         for entry in registry():
             h = assemble(entry.spec, 32)
-            ntot = total_excitation(32, entry.spec.k)
+            ns = np.arange(33, dtype=float)
+            ntot = np.diag(np.concatenate([ns + entry.spec.k / 2.0, ns - entry.spec.k / 2.0]))
             residual = np.max(np.abs(h.mat @ ntot - ntot @ h.mat))
             assert residual <= 1e-11
 
