@@ -3,23 +3,16 @@ the underlying graded operator algebra, exact time evolution, and an
 independent truncated-Fock-space cross-check."""
 
 from .analytic import (
-    Manifold,
     ObservableTrace,
     aux_binomial,
     aux_two_point,
-    build_manifold,
     dark_levels,
     dressed_states,
-    evolve,
     manifolds,
     sigma_z_fock,
     trace_observables,
 )
-from .algebra import (
-    auxiliary_charges,
-    build_operator_set,
-    verify_relations,
-)
+from .algebra import verify_relations
 from .errors import ConfigError, TruncationError
 from .model import (
     DEFAULT_N_MAX,
@@ -31,12 +24,7 @@ from .model import (
     registry,
     registry_model,
 )
-from .oracle import (
-    HamiltonianMatrix,
-    assemble,
-    propagate,
-    spectrum,
-)
+from .oracle import HamiltonianMatrix, assemble, propagate
 from .states import QubitBosonState, coherent_state, fock_state, observables
 
 __version__ = "0.1.0"
@@ -46,7 +34,6 @@ __all__ = [
     "DEFAULT_N_MAX",
     "FnKind",
     "HamiltonianMatrix",
-    "Manifold",
     "ModelRegistryEntry",
     "ModelSpec",
     "NonlinearFn",
@@ -56,13 +43,9 @@ __all__ = [
     "assemble",
     "aux_binomial",
     "aux_two_point",
-    "auxiliary_charges",
-    "build_manifold",
-    "build_operator_set",
     "coherent_state",
     "dark_levels",
     "dressed_states",
-    "evolve",
     "fock_state",
     "load_model",
     "manifolds",
@@ -71,7 +54,6 @@ __all__ = [
     "registry",
     "registry_model",
     "sigma_z_fock",
-    "spectrum",
     "trace_observables",
     "verify_relations",
 ]

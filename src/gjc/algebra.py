@@ -100,7 +100,11 @@ def auxiliary_charges(spec: ModelSpec, n_max: int):
     Q_X = Q^dag + Q and Q_Y = i (Q^dag - Q); g * Q_X is the interaction
     part of the full Hamiltonian.
     """
-    ops = build_operator_set(spec, n_max)
+    return _square_roots(build_operator_set(spec, n_max))
+
+
+def _square_roots(ops: dict):
+    """(Q_X, Q_Y) from the charges of an operator set."""
     q_dag, q = ops["Qdag"], ops["Q"]
     return q_dag + q, 1j * (q_dag - q)
 
@@ -130,7 +134,7 @@ def verify_relations(spec: ModelSpec, n_max: int, guard: int | None = None) -> d
     h_b = ham.copy()
     h_b[:, 0, 0] = 0.0
 
-    q_x, q_y = auxiliary_charges(spec, n_max)
+    q_x, q_y = _square_roots(ops)
 
     def comm(a, bb):
         return a @ bb - bb @ a

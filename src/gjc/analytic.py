@@ -90,54 +90,51 @@ def aux_binomial(spec: ModelSpec, n_total: float):
 
 
 @dataclass(frozen=True)
-class Manifold:
-    """One invariant two-level block {|e, n_lower>, |g, n_lower + k>}.
+class Manifolds:
+    """The invariant two-level blocks {|e, n>, |g, n+k>} of a truncation.
 
-    ``n_total2`` stores twice the total excitation number (an exact
-    integer, = 2*n_lower + k).  Eigenvalues are full-frame:
-    e_plus/e_minus = phase_rate +- (k/2) * rabi_frequency, so their
-    difference k*rabi_frequency is the oscillation frequency of every
-    observable in the block.
+    Every array has one entry per block, indexed by the lower Fock level
+    n = n_lower = 0..n_max-k; ``n_total`` = n + k/2 is the total excitation
+    number.  Eigenvalues are full-frame: e_plus/e_minus = phase_rate +-
+    (k/2) * rabi_frequency, so their difference k*rabi_frequency is the
+    oscillation frequency of every observable in the block.
     """
 
-    n_lower: int
     k: int
-    n_total2: int
-    beta: float
-    rabi_frequency: float
-    e_plus: float
-    e_minus: float
-    phase_rate: float
-
-    @property
-    def n_total(self) -> float:
-        return self.n_total2 / 2.0
+    n_total: np.ndarray
+    beta: np.ndarray
+    rabi_frequency: np.ndarray
+    e_plus: np.ndarray
+    e_minus: np.ndarray
+    phase_rate: np.ndarray
 
 
-def build_manifold(spec: ModelSpec, n_lower: int) -> Manifold:
-    """Mixing angle, generalized Rabi frequency and eigenvalues of one block.
+def manifolds(spec: ModelSpec, n_max: int) -> Manifolds:
+    """Mixing angle, generalized Rabi frequency and eigenvalues of every block
+    fully contained in the truncation.
 
     rabi^2 = [omega0/k - omega + split(N)]^2
              + (4 g^2 / k^2) * (n+k)!/n! * f(n)^2,          N = n + k/2,
     tan(beta) = coupling / detuning via atan2, with beta in [0, pi] for
     g >= 0 (wrapped into [0, 2pi) for a negative coupling).
     """
-    if n_lower < 0:
-        raise ValueError(f"n_lower must be >= 0, got {n_lower}")
     k = spec.k
-    n_total = n_lower + k / 2.0
-    center, split = aux_two_point(spec, n_total)
+    blocks = range(n_max - k + 1)
+    # Per block at Python numbers: numpy scalars change the last bits of
+    # some f, F, G, and np.hypot/np.arctan2 differ from math in a few ulps.
+    center, split, ladder, f = np.array(
+        [(*aux_two_point(spec, n + k / 2.0), ladder_factor(n, k), spec.f(n)) for n in blocks]
+    ).reshape(-1, 4).T
     detuning = spec.omega0 / k - spec.omega + split
-    coupling = (2.0 * spec.g / k) * ladder_factor(n_lower, k) * spec.f(n_lower)
-    rabi = math.hypot(detuning, coupling)
-    beta = math.atan2(coupling, detuning)
-    if beta < 0.0:
-        beta += 2.0 * math.pi
+    coupling = (2.0 * spec.g / k) * ladder * f
+    pairs = zip(detuning.tolist(), coupling.tolist())
+    rabi, beta = np.array([(math.hypot(d, c), math.atan2(c, d)) for d, c in pairs]).reshape(-1, 2).T
+    beta[beta < 0.0] += 2.0 * math.pi
+    n_total = np.arange(len(blocks)) + k / 2.0
     phase_rate = spec.omega * n_total + center
-    return Manifold(
-        n_lower=n_lower,
+    return Manifolds(
         k=k,
-        n_total2=2 * n_lower + k,
+        n_total=n_total,
         beta=beta,
         rabi_frequency=rabi,
         e_plus=phase_rate + 0.5 * k * rabi,
@@ -146,34 +143,24 @@ def build_manifold(spec: ModelSpec, n_lower: int) -> Manifold:
     )
 
 
-def manifolds(spec: ModelSpec, n_max: int):
-    """All manifolds fully contained in the truncation, n_lower = 0..n_max-k."""
-    return [build_manifold(spec, n) for n in range(n_max - spec.k + 1)]
-
-
-def dressed_states(manifold: Manifold):
-    """The orthonormal eigenpair of the block as (e, g+k) amplitude pairs.
+def dressed_states(table: Manifolds) -> np.ndarray:
+    """The orthonormal eigenpair of each block as (e, g+k) amplitude pairs,
+    shape (blocks, 2, 2): row 0 is |+>, row 1 is |->.
 
     |+> = cos(beta/2)|e,n> + sin(beta/2)|g,n+k>,
     |-> = -sin(beta/2)|e,n> + cos(beta/2)|g,n+k>.
     """
-    c = math.cos(manifold.beta / 2.0)
-    s = math.sin(manifold.beta / 2.0)
-    return (c, s), (-s, c)
+    # math per block, as in manifolds: numpy's SIMD cos/sin can round
+    # differently on some CPUs, and evolve's CSV bytes depend on these.
+    half = [b / 2.0 for b in table.beta.tolist()]
+    c = np.array([math.cos(h) for h in half])
+    s = np.array([math.sin(h) for h in half])
+    return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
 
 
-@dataclass(frozen=True)
-class DarkLevel:
-    """An uncoupled ground level |g,n> with n < k; evolves by phase only."""
-
-    n: int
-    energy: float
-
-
-def dark_levels(spec: ModelSpec):
-    return tuple(
-        DarkLevel(n=n, energy=_g_diagonal(spec, n)) for n in range(spec.k)
-    )
+def dark_levels(spec: ModelSpec) -> np.ndarray:
+    """Energies of the uncoupled ground levels |g,n>, n < k; they evolve by phase only."""
+    return np.array([_g_diagonal(spec, n) for n in range(spec.k)])
 
 
 def _e_diagonal(spec: ModelSpec, n: int) -> float:
@@ -194,32 +181,26 @@ def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n_max, k = initial.n_max, spec.k
-    n_pairs = max(0, n_max - k + 1)
+    table = manifolds(spec, n_max)
+    n_pairs = table.beta.size
+    cos_h, sin_h = dressed_states(table)[:, 0].T
 
     amp_e = np.zeros((n_max + 1, times.size), dtype=np.complex128)
     amp_g = np.zeros((n_max + 1, times.size), dtype=np.complex128)
 
-    if n_pairs > 0:
-        table = manifolds(spec, n_max)
-        cos_h = np.array([math.cos(m.beta / 2.0) for m in table])
-        sin_h = np.array([math.sin(m.beta / 2.0) for m in table])
-        e_plus = np.array([m.e_plus for m in table])
-        e_minus = np.array([m.e_minus for m in table])
+    ce = initial.amp_e[:n_pairs]
+    cg = initial.amp_g[k : k + n_pairs]
+    c_plus = cos_h * ce + sin_h * cg
+    c_minus = -sin_h * ce + cos_h * cg
+    adv_plus = np.exp(-1j * np.outer(table.e_plus, times)) * c_plus[:, None]
+    adv_minus = np.exp(-1j * np.outer(table.e_minus, times)) * c_minus[:, None]
+    amp_e[:n_pairs] = cos_h[:, None] * adv_plus - sin_h[:, None] * adv_minus
+    amp_g[k:] = sin_h[:, None] * adv_plus + cos_h[:, None] * adv_minus
 
-        ce = initial.amp_e[:n_pairs]
-        cg = initial.amp_g[k : k + n_pairs]
-        c_plus = cos_h * ce + sin_h * cg
-        c_minus = -sin_h * ce + cos_h * cg
-        adv_plus = np.exp(-1j * np.outer(e_plus, times)) * c_plus[:, None]
-        adv_minus = np.exp(-1j * np.outer(e_minus, times)) * c_minus[:, None]
-        amp_e[:n_pairs] = cos_h[:, None] * adv_plus - sin_h[:, None] * adv_minus
-        amp_g[k:] = sin_h[:, None] * adv_plus + cos_h[:, None] * adv_minus
-
-    dark_e = np.array([_g_diagonal(spec, n) for n in range(min(k, n_max + 1))])
-    if dark_e.size:
-        amp_g[: dark_e.size] = initial.amp_g[: dark_e.size, None] * np.exp(
-            -1j * np.outer(dark_e, times)
-        )
+    dark_e = dark_levels(spec)[: n_max + 1]
+    amp_g[: dark_e.size] = initial.amp_g[: dark_e.size, None] * np.exp(
+        -1j * np.outer(dark_e, times)
+    )
     top = np.arange(n_pairs, n_max + 1)
     if top.size:
         top_e = np.array([_e_diagonal(spec, n) for n in top])
@@ -245,17 +226,19 @@ def evolve(spec: ModelSpec, initial: QubitBosonState, times):
     ]
 
 
-def sigma_z_fock(manifold: Manifold, t):
-    """Population inversion for the initial state |e, n_lower> of a manifold.
+def sigma_z_fock(table: Manifolds, t):
+    """Population inversion for the initial state |e, n_lower>, one row per block.
 
     cos^2(beta) + sin^2(beta) * cos((E_+ - E_-) t); the oscillation
     frequency E_+ - E_- equals k times the generalized Rabi frequency and
     reduces to it at k = 1.
     """
-    cos_b = math.cos(manifold.beta)
-    sin_b = math.sin(manifold.beta)
-    split = manifold.e_plus - manifold.e_minus
-    return cos_b**2 + sin_b**2 * np.cos(split * np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    rows = (-1,) + (1,) * t.ndim
+    cos_b = np.cos(table.beta).reshape(rows)
+    sin_b = np.sin(table.beta).reshape(rows)
+    split = (table.e_plus - table.e_minus).reshape(rows)
+    return cos_b**2 + sin_b**2 * np.cos(split * t)
 
 
 @dataclass(frozen=True)

@@ -172,14 +172,20 @@ def cmd_spectrum(args) -> int:
     manifest = RunManifest(
         mode="spectrum", model=name, config=config, n_max=args.n_max
     )
-    labels, table = [], []
-    for level in analytic.dark_levels(spec):
-        labels.append(f"dark,{level.n}")
-        table.append((level.n - spec.k / 2.0, 0.0, 0.0, level.energy, level.energy))
-    for m in analytic.manifolds(spec, args.n_max):
-        labels.append(f"manifold,{m.n_lower}")
-        table.append((m.n_total, m.beta, m.rabi_frequency, m.e_plus, m.e_minus))
-    _write_csv(args.out, manifest, "kind,n_lower,N,beta,Omega,E_plus,E_minus", table, labels)
+    dark = analytic.dark_levels(spec)
+    table = analytic.manifolds(spec, args.n_max)
+    zeros = np.zeros(spec.k)
+    rows = np.vstack(
+        [
+            np.column_stack([np.arange(spec.k) - spec.k / 2.0, zeros, zeros, dark, dark]),
+            np.column_stack(
+                [table.n_total, table.beta, table.rabi_frequency, table.e_plus, table.e_minus]
+            ),
+        ]
+    )
+    labels = [f"dark,{n}" for n in range(spec.k)]
+    labels += [f"manifold,{n}" for n in range(table.beta.size)]
+    _write_csv(args.out, manifest, "kind,n_lower,N,beta,Omega,E_plus,E_minus", rows, labels)
     return EXIT_OK
 
 
@@ -234,6 +240,8 @@ def cmd_verify(args) -> int:
         threshold=args.threshold,
     )
     residuals = verify_relations(spec, args.n_max, guard)
+    if not all(map(math.isfinite, residuals.values())):
+        raise ConfigError(f"non-finite residual: the model overflows at n_max={args.n_max}")
     worst = max(residuals.values())
     ok = worst <= args.threshold
     width = max(len(k) for k in residuals)

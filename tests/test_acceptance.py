@@ -14,9 +14,9 @@ from gjc.algebra import e_index, g_index, verify_relations
 from gjc.analytic import (
     aux_binomial,
     aux_two_point,
-    build_manifold,
     dressed_states,
     evolve_amplitudes,
+    manifolds,
     sigma_z_fock,
     trace_observables,
 )
@@ -119,10 +119,12 @@ def test_criterion_3_eigenstructure():
     for entry in registry():
         spec = entry.spec
         h = assemble(spec, N_MAX)
+        m = manifolds(spec, N_MAX)
+        dressed = dressed_states(m)
         for n_lower in range(N_MAX - 2 * spec.k + 1):
-            m = build_manifold(spec, n_lower)
-            plus, minus = dressed_states(m)
-            for (ce, cg), energy in ((plus, m.e_plus), (minus, m.e_minus)):
+            plus, minus = dressed[n_lower]
+            e_plus, e_minus = m.e_plus[n_lower], m.e_minus[n_lower]
+            for (ce, cg), energy in ((plus, e_plus), (minus, e_minus)):
                 v = np.zeros(h.dim)
                 v[e_index(n_lower, N_MAX)] = ce
                 v[g_index(n_lower + spec.k, N_MAX)] = cg
@@ -130,7 +132,7 @@ def test_criterion_3_eigenstructure():
                 worst_residual = max(worst_residual, residual)
                 assert residual <= 1e-10, f"{entry.name} n={n_lower}: {residual:.3e}"
             if spec.k == 1:
-                defect = abs((m.e_plus - m.e_minus) - m.rabi_frequency)
+                defect = abs((e_plus - e_minus) - m.rabi_frequency[n_lower])
                 worst_freq = max(worst_freq, defect)
                 assert defect <= 1e-12, f"{entry.name} n={n_lower}: {defect:.3e}"
     report(
@@ -168,12 +170,12 @@ def test_criterion_4_aux_reconciliation():
 def test_criterion_5_jc_closed_forms():
     jc = registry_model("jc")
     worst = 0.0
+    m = manifolds(jc, N_MAX)
     for n in range(21):
         frequency = 2.0 * jc.g * math.sqrt(n + 1.0)
         period = 2.0 * math.pi / frequency
         t = np.linspace(0.0, period, 257)
-        m = build_manifold(jc, n)
-        defect = float(np.max(np.abs(sigma_z_fock(m, t) - np.cos(frequency * t))))
+        defect = float(np.max(np.abs(sigma_z_fock(m, t)[n] - np.cos(frequency * t))))
         worst = max(worst, defect)
         assert defect <= 1e-12, f"n={n}: {defect:.3e}"
     report(

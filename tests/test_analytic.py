@@ -7,7 +7,6 @@ import pytest
 from gjc.analytic import (
     aux_binomial,
     aux_two_point,
-    build_manifold,
     dark_levels,
     dressed_states,
     evolve,
@@ -100,31 +99,31 @@ class TestAuxBinomial:
 
 class TestManifold:
     def test_jc_resonance_vacuum(self):
-        m = build_manifold(JC, 0)
-        assert m.rabi_frequency == pytest.approx(2 * JC.g, rel=1e-15)
-        assert m.beta == math.pi / 2.0
-        assert m.n_total == 0.5
+        m = manifolds(JC, 1)
+        assert m.rabi_frequency[0] == pytest.approx(2 * JC.g, rel=1e-15)
+        assert m.beta[0] == math.pi / 2.0
+        assert m.n_total[0] == 0.5
 
     def test_jc_resonance_rabi_ladder(self):
+        m = manifolds(JC, 12)
         for n in range(12):
-            m = build_manifold(JC, n)
-            assert m.rabi_frequency == pytest.approx(
+            assert m.rabi_frequency[n] == pytest.approx(
                 2 * JC.g * math.sqrt(n + 1), rel=1e-15
             )
 
     def test_decoupled_limit(self):
         spec = _with_g(registry_model("intensity-multiboson"), 0.0)
-        m = build_manifold(spec, 0)  # f(0)=0 as well: fully dark block
+        m = manifolds(spec, spec.k)  # f(0)=0 as well: fully dark block
         detuning = spec.omega0 / spec.k - spec.omega
-        assert m.rabi_frequency == pytest.approx(abs(detuning), rel=1e-15)
-        assert m.beta in (0.0, math.pi)
+        assert m.rabi_frequency[0] == pytest.approx(abs(detuning), rel=1e-15)
+        assert m.beta[0] in (0.0, math.pi)
 
     @pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
     def test_block_eigendecomposition_oracle(self, entry):
         # oracle: numpy eigh of the bare 2x2 block must reproduce (E_-, E_+)
         spec = entry.spec
+        m = manifolds(spec, 20 + spec.k)
         for n in (0, 1, 5, 20):
-            m = build_manifold(spec, n)
             e_top = spec.omega * n + spec.omega0 / 2 + spec.F(n) + spec.G(n)
             nk = n + spec.k
             g_bot = spec.omega * nk - spec.omega0 / 2 - spec.F(nk) + spec.G(nk)
@@ -133,43 +132,38 @@ class TestManifold:
             )
             block = np.array([[e_top, coupling], [coupling, g_bot]])
             vals = np.linalg.eigvalsh(block)
-            assert vals[0] == pytest.approx(m.e_minus, abs=1e-12)
-            assert vals[1] == pytest.approx(m.e_plus, abs=1e-12)
-
-    def test_negative_lower_index_rejected(self):
-        with pytest.raises(ValueError):
-            build_manifold(JC, -1)
+            assert vals[0] == pytest.approx(m.e_minus[n], abs=1e-12)
+            assert vals[1] == pytest.approx(m.e_plus[n], abs=1e-12)
 
     @pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
     def test_invariants(self, entry):
+        m = manifolds(entry.spec, 35 + entry.spec.k)
         for n in range(0, 40, 7):
-            m = build_manifold(entry.spec, n)
-            assert 0.0 <= m.beta <= math.pi
-            assert m.rabi_frequency >= 0.0
-            assert m.e_plus - m.e_minus == pytest.approx(
-                entry.spec.k * m.rabi_frequency, abs=1e-12
+            assert 0.0 <= m.beta[n] <= math.pi
+            assert m.rabi_frequency[n] >= 0.0
+            assert m.e_plus[n] - m.e_minus[n] == pytest.approx(
+                entry.spec.k * m.rabi_frequency[n], abs=1e-12
             )
-            assert m.e_plus + m.e_minus == pytest.approx(2 * m.phase_rate, abs=1e-12)
+            assert m.e_plus[n] + m.e_minus[n] == pytest.approx(2 * m.phase_rate[n], abs=1e-12)
 
 
 class TestDressedStates:
     def test_no_mixing(self):
-        m = replace(build_manifold(JC, 0), beta=0.0)
-        plus, minus = dressed_states(m)
-        assert plus == (1.0, 0.0)
-        assert minus == (0.0, 1.0)
+        m = replace(manifolds(JC, 1), beta=np.array([0.0]))
+        plus, minus = dressed_states(m)[0]
+        assert plus.tolist() == [1.0, 0.0]
+        assert minus.tolist() == [0.0, 1.0]
 
     def test_full_mixing(self):
-        m = build_manifold(JC, 0)  # beta = pi/2 at resonance
-        (ce_p, cg_p), (ce_m, cg_m) = dressed_states(m)
+        m = manifolds(JC, 1)  # beta = pi/2 at resonance
+        (ce_p, cg_p), (ce_m, cg_m) = dressed_states(m)[0]
         r = math.sqrt(0.5)
         assert (ce_p, cg_p) == pytest.approx((r, r))
         assert (ce_m, cg_m) == pytest.approx((-r, r))
 
     def test_orthonormal_for_any_angle(self):
-        for beta in np.linspace(0.0, math.pi, 13):
-            m = replace(build_manifold(JC, 2), beta=float(beta))
-            plus, minus = dressed_states(m)
+        m = replace(manifolds(JC, 13), beta=np.linspace(0.0, math.pi, 13))
+        for plus, minus in dressed_states(m):
             assert plus[0] ** 2 + plus[1] ** 2 == pytest.approx(1.0, abs=1e-15)
             assert minus[0] ** 2 + minus[1] ** 2 == pytest.approx(1.0, abs=1e-15)
             assert plus[0] * minus[0] + plus[1] * minus[1] == pytest.approx(0.0, abs=1e-15)
@@ -182,11 +176,9 @@ class TestDarkLevels:
 
     def test_energy_formula(self):
         spec = registry_model("stark-two-photon")
-        for level in dark_levels(spec):
-            expected = (
-                spec.omega * level.n - spec.omega0 / 2 - spec.F(level.n) + spec.G(level.n)
-            )
-            assert level.energy == expected
+        for n, energy in enumerate(dark_levels(spec)):
+            expected = spec.omega * n - spec.omega0 / 2 - spec.F(n) + spec.G(n)
+            assert energy == expected
 
 
 class TestEvolve:
@@ -248,20 +240,20 @@ class TestEvolve:
 class TestSigmaZFock:
     def test_initial_value_is_one(self):
         for entry in registry():
-            m = build_manifold(entry.spec, 4)
-            assert sigma_z_fock(m, 0.0) == pytest.approx(1.0, abs=1e-15)
+            m = manifolds(entry.spec, 4 + entry.spec.k)
+            assert sigma_z_fock(m, 0.0)[4] == pytest.approx(1.0, abs=1e-15)
 
     def test_jc_resonance_cosine(self):
+        t = np.linspace(0.0, 40.0, 101)
+        sigma_z = sigma_z_fock(manifolds(JC, 12), t)
         for n in (0, 3, 11):
-            m = build_manifold(JC, n)
-            t = np.linspace(0.0, 40.0, 101)
             expected = np.cos(2 * JC.g * math.sqrt(n + 1) * t)
-            assert np.max(np.abs(sigma_z_fock(m, t) - expected)) < 1e-12
+            assert np.max(np.abs(sigma_z[n] - expected)) < 1e-12
 
     def test_decoupled_is_constant(self):
-        m = build_manifold(_with_g(JC, 0.0), 5)
+        m = manifolds(_with_g(JC, 0.0), 6)
         t = np.linspace(0.0, 100.0, 11)
-        assert np.max(np.abs(sigma_z_fock(m, t) - 1.0)) == 0.0
+        assert np.max(np.abs(sigma_z_fock(m, t)[5] - 1.0)) == 0.0
 
     def test_matches_evolution(self):
         # the closed form and the amplitude path are independent code paths
@@ -272,8 +264,8 @@ class TestSigmaZFock:
                 initial = fock_state("e", n, n_max)
                 times = np.linspace(0.0, 80.0, 57)
                 trace = trace_observables(spec, initial, times)
-                m = build_manifold(spec, n)
-                assert np.max(np.abs(trace.sigma_z - sigma_z_fock(m, times))) < 1e-10
+                closed_form = sigma_z_fock(manifolds(spec, n_max), times)[n]
+                assert np.max(np.abs(trace.sigma_z - closed_form)) < 1e-10
 
 
 def _sigma_z_coherent(spec, alpha, times):
@@ -303,7 +295,8 @@ class TestSigmaZCoherent:
         # Poisson-weighted closed forms, which is the |e, alpha> trace
         mean = abs(alpha) ** 2
         weights = [math.exp(-mean) * mean**j / math.factorial(j) for j in range(j_max + 1)]
-        return sum(w * sigma_z_fock(build_manifold(spec, j), times) for j, w in enumerate(weights))
+        rows = sigma_z_fock(manifolds(spec, j_max + spec.k), times)
+        return sum(w * row for w, row in zip(weights, rows))
 
     def test_series_equals_excited_initial_trace(self):
         for name in ("jc", "kerr-two-photon"):
@@ -360,6 +353,9 @@ class TestTraceObservables:
 
 
 def test_manifolds_cover_truncation():
-    ms = manifolds(registry_model("stark-two-photon"), 16)
-    assert [m.n_lower for m in ms] == list(range(15))
-    assert all(m.n_total2 == 2 * m.n_lower + 2 for m in ms)
+    m = manifolds(registry_model("stark-two-photon"), 16)
+    assert m.n_total.tolist() == [n + 1.0 for n in range(15)]
+    assert all(
+        len(column) == 15
+        for column in (m.beta, m.rabi_frequency, m.e_plus, m.e_minus, m.phase_rate)
+    )

@@ -289,8 +289,16 @@ class TestErrors:
             ["spectrum", "--config", "power200.json", "--nmax", "64"],
             ["spectrum", "--config", "k400.json", "--nmax", "450"],
             ["evolve", "--config", "k400.json", "--nmax", "450"],
+            ["verify", "--config", "k400.json", "--nmax", "800"],
         ],
-        ids=["q-bracket-spectrum", "q-bracket-verify", "power-200", "k400-spectrum", "k400-evolve"],
+        ids=[
+            "q-bracket-spectrum",
+            "q-bracket-verify",
+            "power-200",
+            "k400-spectrum",
+            "k400-evolve",
+            "k400-verify",
+        ],
     )
     def test_overflow_exit1(self, argv, tmp_path, capsys, monkeypatch):
         # an overflowing model or cutoff is a configuration error: one line, no output

@@ -187,18 +187,15 @@ class TestConservation:
     def test_spectrum_matches_closed_form_eigenvalues(self):
         # full truncated spectrum = dressed pairs + dark levels + top
         # uncoupled excited diagonals
-        from gjc.analytic import build_manifold, dark_levels
+        from gjc.analytic import dark_levels, manifolds
 
         for entry in registry():
             spec = entry.spec
             n_max = 40
             h = assemble(spec, n_max)
             vals, _ = spectrum(h)
-            expected = []
-            for nl in range(n_max - spec.k + 1):
-                m = build_manifold(spec, nl)
-                expected += [m.e_plus, m.e_minus]
-            expected += [level.energy for level in dark_levels(spec)]
+            m = manifolds(spec, n_max)
+            expected = [*m.e_plus, *m.e_minus, *dark_levels(spec)]
             for n in range(n_max - spec.k + 1, n_max + 1):
                 expected.append(
                     spec.omega * n + spec.omega0 / 2.0 + spec.F(n) + spec.G(n)
