@@ -17,12 +17,10 @@ index = row * (n_max + 1) + n with row 0 = excited, row 1 = ground.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConfigError
-from .model import ModelSpec
+from .model import ModelSpec, tabulate
 
 
 def basis_dim(n_max: int) -> int:
@@ -37,17 +35,21 @@ def g_index(n: int, n_max: int) -> int:
     return (n_max + 1) + n
 
 
-def ladder_product(n: int, k: int) -> float:
-    """(n+k)! / n! as a running product; no factorial overflow."""
+def ladder_product(n, k: int):
+    """(n+k)! / n! as a running product; no factorial overflow.
+
+    ``n`` may be an int or an integer array; each entry is the same
+    product of the same factors in the same order.
+    """
     prod = 1.0
     for m in range(1, k + 1):
-        prod *= n + m
+        prod = prod * (n + m)
     return prod
 
 
-def ladder_factor(n: int, k: int) -> float:
-    """sqrt((n+k)! / n!)."""
-    return math.sqrt(ladder_product(n, k))
+def ladder_factor(n, k: int):
+    """sqrt((n+k)! / n!); elementwise for an integer array ``n``."""
+    return np.sqrt(ladder_product(n, k))
 
 
 def _slot_levels(n_max: int, k: int) -> np.ndarray:
@@ -76,14 +78,14 @@ def build_operator_set(spec: ModelSpec, n_max: int) -> dict:
         raise ConfigError(f"n_max={n_max} must be >= k={k}")
     levels = _slot_levels(n_max, k)
     present = (levels >= 0) & (levels <= n_max)
+    f = tabulate(spec.f, n_max, "coupling profile f")
+    m = np.arange(n_max + 1)
     energy = np.zeros(n_max + k + 1)
+    # float_power squares through libm's pow, as Python's f**2 does; the
+    # square ufunc rounds some values differently.
+    energy[k:] = np.float_power(f, 2.0) * ladder_product(m, k)
     q_dag = np.zeros((n_max + k + 1, 2, 2))
-    # Python ints: numpy integer arguments change the last bits of some f.
-    for m in range(n_max + 1):
-        f_m = spec.f(m)
-        energy[m + k] = f_m**2 * ladder_product(m, k)
-        if m <= n_max - k:
-            q_dag[m + k, 0, 1] = f_m * ladder_factor(m, k)
+    q_dag[k : n_max + 1, 0, 1] = f[: n_max - k + 1] * ladder_factor(m[: n_max - k + 1], k)
     half_k = np.array([k / 2.0, -k / 2.0])
     return {
         "Q": q_dag.transpose(0, 2, 1).copy(),

@@ -109,28 +109,29 @@ class Manifolds:
     phase_rate: np.ndarray
 
 
-def manifolds(spec: ModelSpec, n_max: int) -> Manifolds:
+def manifolds(spec: ModelSpec, n_max: int, model_table=None) -> Manifolds:
     """Mixing angle, generalized Rabi frequency and eigenvalues of every block
     fully contained in the truncation.
 
     rabi^2 = [omega0/k - omega + split(N)]^2
              + (4 g^2 / k^2) * (n+k)!/n! * f(n)^2,          N = n + k/2,
     tan(beta) = coupling / detuning via atan2, with beta in [0, pi] for
-    g >= 0 (wrapped into [0, 2pi) for a negative coupling).
+    g >= 0 (wrapped into [0, 2pi) for a negative coupling).  f, F and G come
+    from ``model_table`` or else from ``spec.validate_range(n_max)``.
     """
     k = spec.k
-    blocks = range(n_max - k + 1)
-    # Per block at Python numbers: numpy scalars change the last bits of
-    # some f, F, G, and np.hypot/np.arctan2 differ from math in a few ulps.
-    center, split, ladder, f = np.array(
-        [(*aux_two_point(spec, n + k / 2.0), ladder_factor(n, k), spec.f(n)) for n in blocks]
-    ).reshape(-1, 4).T
+    f, F, G = spec.validate_range(n_max) if model_table is None else model_table
+    nb = max(n_max - k + 1, 0)
+    # Lower partners n are F[:nb], G[:nb]; upper partners n + k are F[k:], G[k:].
+    center = 0.5 * (G[:nb] + F[:nb] + G[k:] - F[k:])
+    split = (G[:nb] + F[:nb] - G[k:] + F[k:]) / k
     detuning = spec.omega0 / k - spec.omega + split
-    coupling = (2.0 * spec.g / k) * ladder * f
+    coupling = (2.0 * spec.g / k) * ladder_factor(np.arange(nb), k) * f[:nb]
+    # math per block: np.hypot/np.arctan2 differ from math in a few ulps.
     pairs = zip(detuning.tolist(), coupling.tolist())
     rabi, beta = np.array([(math.hypot(d, c), math.atan2(c, d)) for d, c in pairs]).reshape(-1, 2).T
     beta[beta < 0.0] += 2.0 * math.pi
-    n_total = np.arange(len(blocks)) + k / 2.0
+    n_total = np.arange(nb) + k / 2.0
     phase_rate = spec.omega * n_total + center
     return Manifolds(
         k=k,
@@ -160,15 +161,17 @@ def dressed_states(table: Manifolds) -> np.ndarray:
 
 def dark_levels(spec: ModelSpec) -> np.ndarray:
     """Energies of the uncoupled ground levels |g,n>, n < k; they evolve by phase only."""
-    return np.array([_g_diagonal(spec, n) for n in range(spec.k)])
+    _, F, G = spec.validate_range(spec.k - 1)
+    return _diagonals(spec, F, G)[1]
 
 
-def _e_diagonal(spec: ModelSpec, n: int) -> float:
-    return spec.omega * n + spec.omega0 / 2.0 + spec.F(n) + spec.G(n)
-
-
-def _g_diagonal(spec: ModelSpec, n: int) -> float:
-    return spec.omega * n - spec.omega0 / 2.0 - spec.F(n) + spec.G(n)
+def _diagonals(spec: ModelSpec, F, G):
+    """Diagonal energies of |e, n> and of |g, n> for n = 0..F.size-1."""
+    n = np.arange(F.size)
+    return (
+        spec.omega * n + spec.omega0 / 2.0 + F + G,
+        spec.omega * n - spec.omega0 / 2.0 - F + G,
+    )
 
 
 def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
@@ -181,7 +184,9 @@ def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n_max, k = initial.n_max, spec.k
-    table = manifolds(spec, n_max)
+    model_table = spec.validate_range(n_max)
+    table = manifolds(spec, n_max, model_table)
+    diag_e, diag_g = _diagonals(spec, *model_table[1:])
     n_pairs = table.beta.size
     cos_h, sin_h = dressed_states(table)[:, 0].T
 
@@ -197,14 +202,10 @@ def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
     amp_e[:n_pairs] = cos_h[:, None] * adv_plus - sin_h[:, None] * adv_minus
     amp_g[k:] = sin_h[:, None] * adv_plus + cos_h[:, None] * adv_minus
 
-    dark_e = dark_levels(spec)[: n_max + 1]
-    amp_g[: dark_e.size] = initial.amp_g[: dark_e.size, None] * np.exp(
-        -1j * np.outer(dark_e, times)
-    )
-    top = np.arange(n_pairs, n_max + 1)
-    if top.size:
-        top_e = np.array([_e_diagonal(spec, n) for n in top])
-        amp_e[top] = initial.amp_e[top, None] * np.exp(-1j * np.outer(top_e, times))
+    dark = slice(0, min(k, n_max + 1))
+    amp_g[dark] = initial.amp_g[dark, None] * np.exp(-1j * np.outer(diag_g[dark], times))
+    top = slice(n_pairs, n_max + 1)
+    amp_e[top] = initial.amp_e[top, None] * np.exp(-1j * np.outer(diag_e[top], times))
     return amp_e, amp_g
 
 

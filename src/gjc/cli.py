@@ -101,18 +101,6 @@ def _resolve_model(args):
     return registry_model(name), name, None
 
 
-def _resolve_nmax(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("GJC_NMAX")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"GJC_NMAX must be an integer, got {env!r}") from None
-    return DEFAULT_N_MAX
-
-
 def parse_initial(descriptor: str, n_max: int) -> QubitBosonState:
     """Build the initial state from 'fock:QUBIT:N' or 'coherent:QUBIT:ALPHA'."""
     parts = descriptor.split(":")
@@ -165,7 +153,6 @@ def cmd_list(_args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    args.n_max = _resolve_nmax(args.n_max)
     spec, name, config = _resolve_model(args)
     if args.n_max < spec.k:
         raise ConfigError(f"--nmax {args.n_max} must be >= k={spec.k}")
@@ -190,7 +177,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    args.n_max = _resolve_nmax(args.n_max)
     spec, name, config = _resolve_model(args)
     if args.n_max < spec.k:
         raise ConfigError(f"--nmax {args.n_max} must be >= k={spec.k}")
@@ -228,7 +214,6 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    args.n_max = _resolve_nmax(args.n_max)
     spec, name, config = _resolve_model(args)
     guard = args.guard if args.guard is not None else 2 * spec.k
     manifest = RunManifest(
@@ -282,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--nmax",
             dest="n_max",
             type=int,
-            default=None,
-            help=f"Fock-space cutoff (default {DEFAULT_N_MAX}; GJC_NMAX overrides)",
+            default=DEFAULT_N_MAX,
+            help=f"Fock-space cutoff (default {DEFAULT_N_MAX})",
         )
 
     p_spec = sub.add_parser("spectrum", help="manifold angles, frequencies and eigenvalues")

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -36,51 +39,115 @@ class FnKind(str, Enum):
     LINEAR_STARK = "LinearStark"
 
 
-# Expected parameter count per kind; None means variable length (Poly).
-_PARAM_COUNT = {
-    FnKind.ZERO: 0,
-    FnKind.ONE: 0,
-    FnKind.POLY: None,
-    FnKind.SQRT_N: 0,
-    FnKind.POWER_N: 1,
-    FnKind.KERR: 1,
-    FnKind.Q_BRACKET_SQRT: 1,
-    FnKind.PARITY: 1,
-    FnKind.ALGEBRAIC_SQRT: 3,
-    FnKind.LINEAR_STARK: 1,
-}
-
-
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
+def _poly_value(p, n):
+    acc = 0.0
+    for c in reversed(p):
+        acc = acc * n + c
+    return acc
+
+
+def _q_bracket_value(p, n):
+    q = p[0]
+    if q == 1.0:
+        return math.sqrt(n)
+    bracket = (q**n - q**-n) / (q - 1.0 / q)
+    return math.sqrt(max(bracket, 0.0))
+
+
+def _parity_value(p, n):
+    m = round(n)
+    if abs(n - m) < 1e-9:
+        return p[0] if m % 2 == 0 else -p[0]
+    return p[0] * math.cos(math.pi * n)
+
+
+def _algebraic_value(p, n):
+    chi_a, ell, w = p
+    radicand = 1.0 - (chi_a / w) * (1.0 - float(n) ** (ell - 1.0))
+    if radicand < 0.0:
+        raise ValueError(
+            f"AlgebraicSqrt radicand is negative at n={n} (chi_a={chi_a}, ell={ell}, omega={w})"
+        )
+    return math.sqrt(radicand)
+
+
+def _algebraic_error(p):
+    chi_a, ell, w = p
+    if not (0.0 <= chi_a < w):
+        return f"AlgebraicSqrt requires 0 <= chi_a < omega, got chi_a={chi_a}, omega={w}"
+    if ell < 1.0:
+        return f"AlgebraicSqrt requires ell >= 1, got ell={ell}"
+
+
+def _none(p):
+    return None
+
+
+class _Kind(NamedTuple):
+    """One row of the kind table; every callable takes the parameter tuple p."""
+
+    n_params: int | None  # None: any length (Poly)
+    value: Callable  # (p, n) -> value at n >= 0
+    describe: Callable  # p -> compact text for CLI listings
+    coefficients: Callable = _none  # p -> (c_0, ..., c_j) if polynomial in n, else None
+    error: Callable = _none  # p -> why p is outside the kind's domain, or None
+
+
+_KINDS = {
+    FnKind.ZERO: _Kind(0, lambda p, n: 0.0, lambda p: "0", lambda p: ()),
+    FnKind.ONE: _Kind(0, lambda p, n: 1.0, lambda p: "1", lambda p: (1.0,)),
+    FnKind.POLY: _Kind(
+        None,
+        _poly_value,
+        lambda p: " + ".join(f"{c:g}*n^{j}" for j, c in enumerate(p) if c != 0.0) or "0",
+        coefficients=lambda p: p,
+        error=lambda p: f"Poly degree is capped at {MAX_POLY_DEGREE}, got degree {len(p) - 1}"
+        if len(p) > MAX_POLY_DEGREE + 1 else None,
+    ),
+    FnKind.SQRT_N: _Kind(0, lambda p, n: math.sqrt(n), lambda p: "sqrt(n)"),
+    FnKind.POWER_N: _Kind(
+        1,
+        lambda p, n: float(n) ** p[0],
+        lambda p: f"n^{p[0]:g}",
+        coefficients=lambda p: tuple(float(j == p[0]) for j in range(int(p[0]) + 1))
+        if p[0] == int(p[0]) and 0 <= int(p[0]) <= MAX_POLY_DEGREE else None,
+        error=lambda p: f"PowerN requires a non-negative exponent, got {p[0]}"
+        if p[0] < 0.0 else None,
+    ),
+    FnKind.KERR: _Kind(
+        1, lambda p, n: p[0] * n * (n - 1.0), lambda p: f"{p[0]:g}*n*(n-1)",
+        lambda p: (0.0, -p[0], p[0]),
+    ),
+    FnKind.Q_BRACKET_SQRT: _Kind(
+        1, _q_bracket_value, lambda p: f"sqrt([n]_q), q={p[0]:g}",
+        error=lambda p: None if 0.0 < p[0] <= 1.0
+        else f"QBracketSqrt requires 0 < q <= 1, got q={p[0]}",
+    ),
+    FnKind.PARITY: _Kind(1, _parity_value, lambda p: f"{p[0]:g}*(-1)^n"),
+    FnKind.ALGEBRAIC_SQRT: _Kind(
+        3, _algebraic_value, lambda p: f"sqrt(1-({p[0]:g}/{p[2]:g})*(1-n^{p[1] - 1:g}))",
+        error=_algebraic_error,
+    ),
+    FnKind.LINEAR_STARK: _Kind(
+        1, lambda p, n: p[0] * n, lambda p: f"{p[0]:g}*n", lambda p: (0.0, p[0])
+    ),
+}
+
+
 @dataclass(frozen=True)
 class NonlinearFn:
     """Closed, serializable description of a real function of the boson number.
 
-    Parameter layout per kind:
-
-    ==============  =======================  ==========================================
-    kind            params                   value at n
-    ==============  =======================  ==========================================
-    Zero            []                       0
-    One             []                       1
-    Poly            [c0, ..., cj] (j <= 8)   sum_j c_j n^j
-    SqrtN           []                       sqrt(n)
-    PowerN          [p]                      n^p
-    Kerr            [chi]                    chi * n * (n - 1)
-    QBracketSqrt    [q], 0 < q <= 1          sqrt((q^n - q^-n) / (q - q^-1))
-    Parity          [lam]                    lam * (-1)^n
-    AlgebraicSqrt   [chi_a, ell, w]          sqrt(1 - (chi_a/w) * (1 - n^(ell-1)))
-    LinearStark     [s]                      s * n
-    ==============  =======================  ==========================================
-
-    Instances are immutable and callable; evaluation is pure and accepts any
-    non-negative real argument (Parity extends to non-integers as
-    ``lam * cos(pi n)``).
+    ``kind`` picks a row of the kind table ``_KINDS`` (README: "Builtin
+    function kinds"), ``params`` its parameters.  Instances are immutable
+    and callable; evaluation is pure and accepts any non-negative real
+    argument (Parity extends to non-integers as ``lam * cos(pi n)``).
     """
 
     kind: FnKind
@@ -94,127 +161,32 @@ class NonlinearFn:
         params = tuple(_require_finite(f"{kind.value} parameter", p) for p in self.params)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-
-        expected = _PARAM_COUNT[kind]
-        if expected is not None and len(params) != expected:
-            raise ConfigError(
-                f"{kind.value} takes {expected} parameter(s), got {len(params)}"
-            )
-        if kind is FnKind.POLY and len(params) > MAX_POLY_DEGREE + 1:
-            raise ConfigError(
-                f"Poly degree is capped at {MAX_POLY_DEGREE}, got degree {len(params) - 1}"
-            )
-        if kind is FnKind.Q_BRACKET_SQRT:
-            q = params[0]
-            if not 0.0 < q <= 1.0:
-                raise ConfigError(f"QBracketSqrt requires 0 < q <= 1, got q={q}")
-        if kind is FnKind.ALGEBRAIC_SQRT:
-            chi_a, ell, w = params
-            if not (0.0 <= chi_a < w):
-                raise ConfigError(
-                    f"AlgebraicSqrt requires 0 <= chi_a < omega, got chi_a={chi_a}, omega={w}"
-                )
-            if ell < 1.0:
-                raise ConfigError(f"AlgebraicSqrt requires ell >= 1, got ell={ell}")
-        if kind is FnKind.POWER_N and params[0] < 0.0:
-            raise ConfigError(f"PowerN requires a non-negative exponent, got {params[0]}")
+        row = _KINDS[kind]
+        if row.n_params is not None and len(params) != row.n_params:
+            raise ConfigError(f"{kind.value} takes {row.n_params} parameter(s), got {len(params)}")
+        error = row.error(params)
+        if error is not None:
+            raise ConfigError(error)
 
     def __call__(self, n: float) -> float:
         """Evaluate at a non-negative (possibly non-integer) argument."""
         if n < 0:
             raise ValueError(f"nonlinear functions are defined for n >= 0, got n={n}")
-        kind = self.kind
-        if kind is FnKind.ZERO:
-            return 0.0
-        if kind is FnKind.ONE:
-            return 1.0
-        if kind is FnKind.POLY:
-            acc = 0.0
-            for c in reversed(self.params):
-                acc = acc * n + c
-            return acc
-        if kind is FnKind.SQRT_N:
-            return math.sqrt(n)
-        if kind is FnKind.POWER_N:
-            return float(n) ** self.params[0]
-        if kind is FnKind.KERR:
-            return self.params[0] * n * (n - 1.0)
-        if kind is FnKind.Q_BRACKET_SQRT:
-            q = self.params[0]
-            if q == 1.0:
-                return math.sqrt(n)
-            bracket = (q**n - q**-n) / (q - 1.0 / q)
-            return math.sqrt(max(bracket, 0.0))
-        if kind is FnKind.PARITY:
-            lam = self.params[0]
-            m = round(n)
-            if abs(n - m) < 1e-9:
-                return lam if m % 2 == 0 else -lam
-            return lam * math.cos(math.pi * n)
-        if kind is FnKind.ALGEBRAIC_SQRT:
-            chi_a, ell, w = self.params
-            radicand = 1.0 - (chi_a / w) * (1.0 - float(n) ** (ell - 1.0))
-            if radicand < 0.0:
-                raise ValueError(
-                    f"AlgebraicSqrt radicand is negative at n={n} "
-                    f"(chi_a={chi_a}, ell={ell}, omega={w})"
-                )
-            return math.sqrt(radicand)
-        if kind is FnKind.LINEAR_STARK:
-            return self.params[0] * n
-        raise AssertionError(f"unhandled kind {kind}")
+        return _KINDS[self.kind].value(self.params, n)
 
     def poly_coefficients(self) -> tuple:
         """Coefficients c_j such that value(n) = sum_j c_j n^j.
 
         Raises ValueError for kinds that are not polynomial in n.
         """
-        kind = self.kind
-        if kind is FnKind.ZERO:
-            return ()
-        if kind is FnKind.ONE:
-            return (1.0,)
-        if kind is FnKind.POLY:
-            return self.params
-        if kind is FnKind.LINEAR_STARK:
-            return (0.0, self.params[0])
-        if kind is FnKind.KERR:
-            chi = self.params[0]
-            return (0.0, -chi, chi)
-        if kind is FnKind.POWER_N:
-            p = self.params[0]
-            if p == int(p) and 0 <= int(p) <= MAX_POLY_DEGREE:
-                coeffs = [0.0] * (int(p) + 1)
-                coeffs[int(p)] = 1.0
-                return tuple(coeffs)
-        raise ValueError(f"{kind.value} is not polynomial in the boson number")
+        coeffs = _KINDS[self.kind].coefficients(self.params)
+        if coeffs is None:
+            raise ValueError(f"{self.kind.value} is not polynomial in the boson number")
+        return coeffs
 
     def describe(self) -> str:
         """Compact human-readable form used in CLI listings."""
-        kind = self.kind
-        if kind is FnKind.ZERO:
-            return "0"
-        if kind is FnKind.ONE:
-            return "1"
-        if kind is FnKind.POLY:
-            terms = [f"{c:g}*n^{j}" for j, c in enumerate(self.params) if c != 0.0]
-            return " + ".join(terms) if terms else "0"
-        if kind is FnKind.SQRT_N:
-            return "sqrt(n)"
-        if kind is FnKind.POWER_N:
-            return f"n^{self.params[0]:g}"
-        if kind is FnKind.KERR:
-            return f"{self.params[0]:g}*n*(n-1)"
-        if kind is FnKind.Q_BRACKET_SQRT:
-            return f"sqrt([n]_q), q={self.params[0]:g}"
-        if kind is FnKind.PARITY:
-            return f"{self.params[0]:g}*(-1)^n"
-        if kind is FnKind.ALGEBRAIC_SQRT:
-            chi_a, ell, w = self.params
-            return f"sqrt(1-({chi_a:g}/{w:g})*(1-n^{ell - 1:g}))"
-        if kind is FnKind.LINEAR_STARK:
-            return f"{self.params[0]:g}*n"
-        raise AssertionError(f"unhandled kind {kind}")
+        return _KINDS[self.kind].describe(self.params)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "params": list(self.params)}
@@ -229,6 +201,28 @@ class NonlinearFn:
         if "kind" not in doc:
             raise ConfigError("function document is missing 'kind'")
         return cls(kind=doc["kind"], params=tuple(doc.get("params", ())))
+
+
+def tabulate(fn: NonlinearFn, n_max: int, label: str) -> np.ndarray:
+    """fn at the Python ints 0..n_max as a float64 array.
+
+    Raises ConfigError naming ``label`` and n if a value raises or is not
+    finite.  Every builtin kind gives the same double at n and float(n), so
+    these values equal the scalar ones of ``analytic.aux_two_point``.
+    """
+    values, error = [], None
+    try:
+        for n in range(n_max + 1):
+            values.append(fn(n))
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    values = np.array(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(f"{label} is not finite at n={bad[0]}")
+    if error is not None:
+        raise ConfigError(f"{label} invalid at n={values.size}: {error}") from error
+    return values
 
 
 # Shorthand constructors for the builtin kinds.
@@ -281,27 +275,20 @@ class ModelSpec:
             if not isinstance(fn, NonlinearFn):
                 raise ConfigError(f"{name} must be a NonlinearFn, got {type(fn).__name__}")
 
-    def validate_range(self, n_max: int) -> None:
-        """Check the n-dependent invariants on the truncated range 0..n_max."""
-        for n in range(n_max + 1):
-            try:
-                fe = self.f(n)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"coupling profile f invalid at n={n}: {exc}") from exc
-            if not math.isfinite(fe):
-                raise ConfigError(f"coupling profile f is not finite at n={n}")
-            if fe < 0.0:
-                raise ConfigError(
-                    f"coupling profile f must be non-negative on 0..{n_max}, "
-                    f"got f({n})={fe}"
-                )
-            for name, fn in (("F", self.F), ("G", self.G)):
-                try:
-                    val = fn(n)
-                except (ValueError, OverflowError) as exc:
-                    raise ConfigError(f"{name} invalid at n={n}: {exc}") from exc
-                if not math.isfinite(val):
-                    raise ConfigError(f"{name} is not finite at n={n}")
+    def validate_range(self, n_max: int):
+        """f, F and G on the truncated range 0..n_max, each a float64 array.
+
+        The one full evaluation of the model: every value must be finite
+        and f non-negative, or ConfigError names the function and n.
+        """
+        f = tabulate(self.f, n_max, "coupling profile f")
+        negative = np.flatnonzero(f < 0.0)
+        if negative.size:
+            n = int(negative[0])
+            raise ConfigError(
+                f"coupling profile f must be non-negative on 0..{n_max}, got f({n})={f[n]}"
+            )
+        return f, tabulate(self.F, n_max, "F"), tabulate(self.G, n_max, "G")
 
     def to_dict(self) -> dict:
         return {

@@ -58,18 +58,16 @@ def assemble(spec: ModelSpec, n_max: int) -> HamiltonianMatrix:
     """
     if n_max < spec.k:
         raise ConfigError(f"n_max={n_max} must be >= k={spec.k}")
-    spec.validate_range(n_max)
-    dim = basis_dim(n_max)
-    mat = np.zeros((dim, dim))
-    for n in range(n_max + 1):
-        fs, gs = spec.F(n), spec.G(n)
-        mat[e_index(n, n_max), e_index(n, n_max)] = spec.omega * n + spec.omega0 / 2.0 + fs + gs
-        mat[g_index(n, n_max), g_index(n, n_max)] = spec.omega * n - spec.omega0 / 2.0 - fs + gs
-    for n in range(n_max - spec.k + 1):
-        coupling = spec.g * spec.f(n) * ladder_factor(n, spec.k)
-        i, j = e_index(n, n_max), g_index(n + spec.k, n_max)
-        mat[i, j] = coupling
-        mat[j, i] = coupling
+    f, F, G = spec.validate_range(n_max)
+    n = np.arange(n_max + 1)
+    e, g = e_index(n, n_max), g_index(n, n_max)
+    mat = np.zeros((basis_dim(n_max), basis_dim(n_max)))
+    mat[e, e] = spec.omega * n + spec.omega0 / 2.0 + F + G
+    mat[g, g] = spec.omega * n - spec.omega0 / 2.0 - F + G
+    lower = n[: n_max - spec.k + 1]
+    coupling = spec.g * f[lower] * ladder_factor(lower, spec.k)
+    mat[e[lower], g[lower + spec.k]] = coupling
+    mat[g[lower + spec.k], e[lower]] = coupling
     return HamiltonianMatrix(n_max=n_max, k=spec.k, mat=mat)
 
 

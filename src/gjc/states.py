@@ -8,7 +8,9 @@ away.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +85,37 @@ def coherent_amplitudes(alpha: complex, n_max: int):
     """Coefficients e^{-|a|^2/2} a^j / sqrt(j!) for j = 0..n_max and the tail mass.
 
     The recursion c_{j+1} = c_j * alpha / sqrt(j+1) avoids factorial overflow;
-    the tail is the Poisson weight beyond the cutoff.
+    the tail is the Poisson weight beyond the cutoff.  Past |alpha| ~ 37.6
+    the start weight e^{-|a|^2/2} is subnormal or zero, and the coefficients
+    come from _coherent_from_mode instead.
     """
-    coeffs = np.zeros(n_max + 1, dtype=np.complex128)
     c = math.exp(-0.5 * abs(alpha) ** 2)
-    for j in range(n_max + 1):
-        coeffs[j] = c
-        c = c * alpha / math.sqrt(j + 1)
+    if c < sys.float_info.min:
+        coeffs = _coherent_from_mode(alpha, n_max)
+    else:
+        coeffs = np.zeros(n_max + 1, dtype=np.complex128)
+        for j in range(n_max + 1):
+            coeffs[j] = c
+            c = c * alpha / math.sqrt(j + 1)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
     return coeffs, tail
+
+
+def _coherent_from_mode(alpha: complex, n_max: int) -> np.ndarray:
+    """Coherent coefficients for j = 0..n_max, recursed outward from the
+    Poisson mode m = floor(|alpha|^2) and scaled so that the whole support
+    (to 40 sqrt(m) + 40 past the mode, where the weights are below 1e-200)
+    sums to 1.  An lgamma scale would miss 1 by up to 1e-11.
+    """
+    r = abs(alpha)
+    mode = int(r * r)
+    j = np.arange(max(n_max, mode + int(40.0 * r) + 40) + 1)
+    below = np.cumprod(np.sqrt(j[mode:0:-1]) / r)[::-1]
+    above = np.cumprod(r / np.sqrt(j[mode + 1 :]))
+    mags = np.concatenate([below, [1.0], above])
+    mags /= math.sqrt(float(np.sum(mags**2)))
+    phases = np.exp(1j * cmath.phase(alpha) * j[: n_max + 1])
+    return mags[: n_max + 1] * phases
 
 
 def coherent_state(

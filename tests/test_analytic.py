@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjc.analytic import (
     aux_binomial,
@@ -359,3 +361,33 @@ def test_manifolds_cover_truncation():
         len(column) == 15
         for column in (m.beta, m.rabi_frequency, m.e_plus, m.e_minus, m.phase_rate)
     )
+
+
+def _assert_phase_rate_is_two_point(spec, n_max):
+    # manifolds reads F and G from the model table at ints; aux_two_point
+    # evaluates them at float-valued n and n + k.  Both must give the same bits.
+    table = manifolds(spec, n_max)
+    for n_total, rate in zip(table.n_total.tolist(), table.phase_rate.tolist()):
+        assert rate == spec.omega * n_total + aux_two_point(spec, n_total)[0]
+
+
+@pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
+def test_phase_rate_is_two_point_form(entry):
+    _assert_phase_rate_is_two_point(entry.spec, 200)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    omega=st.floats(0.1, 2.0),
+    k=st.integers(1, 5),
+    f_coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9),
+    g_coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9),
+)
+def test_phase_rate_is_two_point_form_for_poly_documents(omega, k, f_coeffs, g_coeffs):
+    doc = {
+        "omega": omega, "omega0": 1.0, "g": 0.1, "k": k,
+        "f": {"kind": "One", "params": []},
+        "F": {"kind": "Poly", "params": f_coeffs},
+        "G": {"kind": "Poly", "params": g_coeffs},
+    }
+    _assert_phase_rate_is_two_point(load_model(doc, n_max=40), 40)

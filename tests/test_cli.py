@@ -1,12 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gjc.cli import main, parse_initial
 from gjc.errors import ConfigError
-from gjc.model import registry_model
+from gjc.model import NonlinearFn, registry, registry_model
 
 
 def read_csv(path):
@@ -72,6 +73,12 @@ class TestSpectrum:
         for r in rows:
             if r[0] == "manifold":
                 assert float(r[3]) in (0.0, math.pi)
+
+    def test_default_nmax(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--model", "jc", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert sum(1 for r in rows if r[0] == "manifold") == 64
 
     def test_header_carries_manifest(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -196,6 +203,22 @@ class TestEvolve:
         )
         assert code == 3
         assert "truncation" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("alpha", ["38", "38.5", "39"])
+    def test_coherent_start_weight_below_normal_range(self, alpha, tmp_path):
+        # e^{-|alpha|^2/2} is subnormal from |alpha| ~ 37.6 and 0 from ~ 38.6
+        out = tmp_path / "trace.csv"
+        argv = ["evolve", "--model", "jc", "--nmax", "3000", "--initial", f"coherent:g:{alpha}"]
+        assert main(argv + ["--points", "3", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0][2]) == pytest.approx(float(alpha) ** 2, rel=1e-12)
+
+    def test_large_coherent_suggested_nmax_succeeds(self, tmp_path, capsys):
+        argv = ["evolve", "--model", "jc", "--initial", "coherent:g:39", "--points", "3"]
+        assert main(argv + ["--nmax", "1000"]) == 3
+        suggested = re.search(r"n_max >= (\d+)", capsys.readouterr().err).group(1)
+        out = tmp_path / "trace.csv"
+        assert main(argv + ["--nmax", suggested, "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("engine", ["analytic", "oracle"])
     def test_top_fock_level_exit_code(self, engine, tmp_path, capsys):
@@ -323,24 +346,38 @@ class TestErrors:
         assert main(["evolve", "--model", "jc", "--initial", "fock:x:1"]) == 1
 
 
-class TestEnvOverride:
-    def test_gjc_nmax(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GJC_NMAX", "24")
-        out = tmp_path / "spec.csv"
-        main(["spectrum", "--model", "jc", "--out", str(out)])
-        _, _, rows = read_csv(out)
-        assert sum(1 for r in rows if r[0] == "manifold") == 24
+class TestOneEvaluationPerEngine:
+    """f, F and G are evaluated once over 0..n_max per engine: the analytic
+    one (manifolds with dark and top levels), the oracle's assembly, and f
+    alone for the algebra."""
 
-    def test_explicit_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GJC_NMAX", "24")
-        out = tmp_path / "spec.csv"
-        main(["spectrum", "--model", "jc", "--nmax", "8", "--out", str(out)])
-        _, _, rows = read_csv(out)
-        assert sum(1 for r in rows if r[0] == "manifold") == 8
+    N_MAX = 64
 
-    def test_invalid_env_value(self, monkeypatch):
-        monkeypatch.setenv("GJC_NMAX", "lots")
-        assert main(["spectrum", "--model", "jc"]) == 1
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        evaluate = NonlinearFn.__call__
+
+        def counting(fn, n):
+            count[0] += 1
+            return evaluate(fn, n)
+
+        monkeypatch.setattr(NonlinearFn, "__call__", counting)
+        return count
+
+    @pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
+    def test_call_counts(self, entry, calls, tmp_path):
+        n, k = self.N_MAX + 1, entry.spec.k
+        model = ["--model", entry.name, "--nmax", str(self.N_MAX)]
+        out = ["--out", str(tmp_path / "result.out")]
+        assert main(["spectrum", *model, *out]) == 0
+        assert calls[0] <= 3 * n + 3 * k
+        calls[0] = 0
+        assert main(["evolve", *model, "--engine", "both", "--points", "11", *out]) == 0
+        assert calls[0] <= 6 * n + 3 * k
+        calls[0] = 0
+        assert main(["verify", *model, *out]) == 0
+        assert calls[0] == n
 
 
 class TestParseInitial:

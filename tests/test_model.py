@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from gjc.model import (
     poly,
     registry,
     registry_model,
+    tabulate,
 )
 
 
@@ -212,3 +214,66 @@ def test_poly_coefficients_helpers():
     assert NonlinearFn(FnKind.POWER_N, (3.0,)).poly_coefficients() == (0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         SQRT_N.poly_coefficients()
+
+
+SAMPLE_FUNCTIONS = [
+    ZERO,
+    ONE,
+    SQRT_N,
+    poly(0.3, -1.2, 0.05, 1e-3),
+    NonlinearFn(FnKind.POWER_N, (1.5,)),
+    NonlinearFn(FnKind.POWER_N, (2.0,)),
+    kerr(0.5),
+    kerr(-0.3),
+    NonlinearFn(FnKind.Q_BRACKET_SQRT, (0.9,)),
+    NonlinearFn(FnKind.Q_BRACKET_SQRT, (1.0,)),
+    NonlinearFn(FnKind.PARITY, (0.2,)),
+    NonlinearFn(FnKind.ALGEBRAIC_SQRT, (0.5, 2.0, 1.0)),
+    NonlinearFn(FnKind.ALGEBRAIC_SQRT, (0.3, 2.7, 1.2)),
+    linear_stark(-0.125),
+]
+
+
+def test_samples_cover_every_kind():
+    assert {fn.kind for fn in SAMPLE_FUNCTIONS} == set(FnKind)
+
+
+@pytest.mark.parametrize("fn", SAMPLE_FUNCTIONS, ids=lambda fn: fn.describe())
+def test_int_and_float_argument_give_the_same_double(fn):
+    # the model table evaluates at ints, aux_two_point at float-valued ints
+    ns = range(3000)
+    at_int = np.array([fn(n) for n in ns])
+    at_float = np.array([fn(float(n)) for n in ns])
+    assert at_int.view(np.uint64).tolist() == at_float.view(np.uint64).tolist()
+
+
+class TestTabulate:
+    def test_values_at_ints(self):
+        fn = NonlinearFn(FnKind.Q_BRACKET_SQRT, (0.9,))
+        values = tabulate(fn, 40, "f")
+        assert values.dtype == np.float64
+        assert values.tolist() == [fn(n) for n in range(41)]
+
+    def test_raising_value_names_function_and_n(self):
+        # n**135 raises OverflowError from n = 193 on
+        with pytest.raises(ConfigError, match=r"^G invalid at n=193: .*Numerical result"):
+            tabulate(NonlinearFn(FnKind.POWER_N, (135.0,)), 300, "G")
+
+    def test_non_finite_value_names_function_and_n(self):
+        # 1e308 * n is inf from n = 2 on, without raising
+        with pytest.raises(ConfigError, match=r"^F is not finite at n=2$"):
+            tabulate(linear_stark(1e308), 5, "F")
+
+    def test_first_fault_in_n_wins(self):
+        # q-bracket at q=0.9: inf from n=6722, OverflowError from n=6737
+        fn = NonlinearFn(FnKind.Q_BRACKET_SQRT, (0.9,))
+        with pytest.raises(ConfigError, match=r"is not finite at n=6722$"):
+            tabulate(fn, 8000, "coupling profile f")
+
+
+def test_validate_range_returns_the_three_tables():
+    spec = registry_model("stark-two-photon")
+    f, F, G = spec.validate_range(10)
+    assert f.tolist() == [1.0] * 11
+    assert F.tolist() == [spec.F(n) for n in range(11)]
+    assert G.tolist() == [spec.G(n) for n in range(11)]

@@ -84,6 +84,44 @@ class TestCoherent:
         assert y == pytest.approx(2.0, abs=1e-10)
 
 
+    def test_start_weight_below_normal_range_matches_series_oracle(self):
+        # e^{-40^2/2} underflows to 0; the coefficients start from the mode
+        alpha = 40.0 * complex(math.cos(0.3), math.sin(0.3))
+        s = coherent_state("e", alpha, 2400)
+        for j in (900, 1600, 2100):
+            expected = complex(
+                mp.e ** (-mp.mpf(800)) * mp.mpc(alpha) ** j / mp.sqrt(mp.factorial(j))
+            )
+            assert abs(s.amp_e[j] - expected) <= 1e-12 * abs(expected)
+        assert s.tail_mass == pytest.approx(poisson_tail_oracle(40.0, 2400), abs=1e-13)
+
+
+@st.composite
+def coherent_requests(draw):
+    """(alpha, n_max) with |alpha| <= 100 and n_max anywhere up to past the
+    suggested cutoff, often near it."""
+    radius = draw(st.one_of(st.floats(0.0, 100.0), st.floats(37.0, 40.0)))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    alpha = radius * complex(math.cos(phase), math.sin(phase))
+    mean = radius**2
+    suggested = int(math.ceil(mean + 10.0 * math.sqrt(mean) + 20.0))
+    near = st.integers(max(0, suggested - 300), suggested + 50)
+    n_max = draw(st.one_of(st.integers(0, 12000), near))
+    return alpha, n_max
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coherent_requests())
+def test_coherent_state_is_normalized_or_its_suggestion_succeeds(request):
+    alpha, n_max = request
+    try:
+        state = coherent_state("g", alpha, n_max)
+    except TruncationError as exc:
+        state = coherent_state("g", alpha, exc.suggested_n_max)
+    assert abs(state.norm_squared() + state.tail_mass - 1.0) <= 1e-12
+    assert state.tail_mass <= 1e-12
+
+
 class TestObservables:
     def test_fock_ground_vacuum(self):
         s = fock_state("g", 0, 8)
