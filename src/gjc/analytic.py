@@ -109,19 +109,19 @@ class Manifolds:
     phase_rate: np.ndarray
 
 
-def manifolds(spec: ModelSpec, n_max: int, model_table=None) -> Manifolds:
+def manifolds(spec: ModelSpec, model_table) -> Manifolds:
     """Mixing angle, generalized Rabi frequency and eigenvalues of every block
     fully contained in the truncation.
 
     rabi^2 = [omega0/k - omega + split(N)]^2
              + (4 g^2 / k^2) * (n+k)!/n! * f(n)^2,          N = n + k/2,
     tan(beta) = coupling / detuning via atan2, with beta in [0, pi] for
-    g >= 0 (wrapped into [0, 2pi) for a negative coupling).  f, F and G come
-    from ``model_table`` or else from ``spec.validate_range(n_max)``.
+    g >= 0 (wrapped into [0, 2pi) for a negative coupling).  ``model_table``
+    is the (f, F, G) of ``spec.validate_range(n_max)``.
     """
     k = spec.k
-    f, F, G = spec.validate_range(n_max) if model_table is None else model_table
-    nb = max(n_max - k + 1, 0)
+    f, F, G = model_table
+    nb = max(f.size - k, 0)
     # Lower partners n are F[:nb], G[:nb]; upper partners n + k are F[k:], G[k:].
     center = 0.5 * (G[:nb] + F[:nb] + G[k:] - F[k:])
     split = (G[:nb] + F[:nb] - G[k:] + F[k:]) / k
@@ -159,10 +159,10 @@ def dressed_states(table: Manifolds) -> np.ndarray:
     return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
 
 
-def dark_levels(spec: ModelSpec) -> np.ndarray:
-    """Energies of the uncoupled ground levels |g,n>, n < k; they evolve by phase only."""
-    _, F, G = spec.validate_range(spec.k - 1)
-    return _diagonals(spec, F, G)[1]
+def dark_levels(spec: ModelSpec, model_table) -> np.ndarray:
+    """Energies of the uncoupled ground levels |g,n>, n < k, from a (f, F, G) model table."""
+    _, F, G = model_table
+    return _diagonals(spec, F[: spec.k], G[: spec.k])[1]
 
 
 def _diagonals(spec: ModelSpec, F, G):
@@ -185,7 +185,7 @@ def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n_max, k = initial.n_max, spec.k
     model_table = spec.validate_range(n_max)
-    table = manifolds(spec, n_max, model_table)
+    table = manifolds(spec, model_table)
     diag_e, diag_g = _diagonals(spec, *model_table[1:])
     n_pairs = table.beta.size
     cos_h, sin_h = dressed_states(table)[:, 0].T

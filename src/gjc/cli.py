@@ -159,8 +159,9 @@ def cmd_spectrum(args) -> int:
     manifest = RunManifest(
         mode="spectrum", model=name, config=config, n_max=args.n_max
     )
-    dark = analytic.dark_levels(spec)
-    table = analytic.manifolds(spec, args.n_max)
+    model_table = spec.validate_range(args.n_max)
+    dark = analytic.dark_levels(spec, model_table)
+    table = analytic.manifolds(spec, model_table)
     zeros = np.zeros(spec.k)
     rows = np.vstack(
         [

@@ -337,10 +337,9 @@ def load_model(source, n_max: int = DEFAULT_N_MAX) -> ModelSpec:
         isinstance(source, str) and source.lstrip().startswith("{")
     ):
         try:
-            text = Path(source).read_text()
+            source = Path(source).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read model file {source}: {exc}") from exc
-        source = text
     if isinstance(source, str):
         try:
             source = json.loads(source)

@@ -103,13 +103,15 @@ def coherent_amplitudes(alpha: complex, n_max: int):
 
 def _coherent_from_mode(alpha: complex, n_max: int) -> np.ndarray:
     """Coherent coefficients for j = 0..n_max, recursed outward from the
-    Poisson mode m = floor(|alpha|^2) and scaled so that the whole support
-    (to 40 sqrt(m) + 40 past the mode, where the weights are below 1e-200)
-    sums to 1.  An lgamma scale would miss 1 by up to 1e-11.
+    Poisson mode m = floor(|alpha|^2) and scaled so that the support m +- w,
+    w = 40 sqrt(m) + 40, sums to 1 (an lgamma scale misses 1 by up to 1e-11).
+    Weights past it are below 1e-270: a cutoff below m - w gets zeros.
     """
     r = abs(alpha)
-    mode = int(r * r)
-    j = np.arange(max(n_max, mode + int(40.0 * r) + 40) + 1)
+    mode, width = int(r * r), int(40.0 * r) + 40
+    if n_max < mode - width:
+        return np.zeros(n_max + 1, dtype=np.complex128)
+    j = np.arange(max(n_max, mode + width) + 1)
     below = np.cumprod(np.sqrt(j[mode:0:-1]) / r)[::-1]
     above = np.cumprod(r / np.sqrt(j[mode + 1 :]))
     mags = np.concatenate([below, [1.0], above])

@@ -119,7 +119,7 @@ def test_criterion_3_eigenstructure():
     for entry in registry():
         spec = entry.spec
         h = assemble(spec, N_MAX)
-        m = manifolds(spec, N_MAX)
+        m = manifolds(spec, spec.validate_range(N_MAX))
         dressed = dressed_states(m)
         for n_lower in range(N_MAX - 2 * spec.k + 1):
             plus, minus = dressed[n_lower]
@@ -170,7 +170,7 @@ def test_criterion_4_aux_reconciliation():
 def test_criterion_5_jc_closed_forms():
     jc = registry_model("jc")
     worst = 0.0
-    m = manifolds(jc, N_MAX)
+    m = manifolds(jc, jc.validate_range(N_MAX))
     for n in range(21):
         frequency = 2.0 * jc.g * math.sqrt(n + 1.0)
         period = 2.0 * math.pi / frequency

@@ -101,13 +101,13 @@ class TestAuxBinomial:
 
 class TestManifold:
     def test_jc_resonance_vacuum(self):
-        m = manifolds(JC, 1)
+        m = manifolds(JC, JC.validate_range(1))
         assert m.rabi_frequency[0] == pytest.approx(2 * JC.g, rel=1e-15)
         assert m.beta[0] == math.pi / 2.0
         assert m.n_total[0] == 0.5
 
     def test_jc_resonance_rabi_ladder(self):
-        m = manifolds(JC, 12)
+        m = manifolds(JC, JC.validate_range(12))
         for n in range(12):
             assert m.rabi_frequency[n] == pytest.approx(
                 2 * JC.g * math.sqrt(n + 1), rel=1e-15
@@ -115,7 +115,7 @@ class TestManifold:
 
     def test_decoupled_limit(self):
         spec = _with_g(registry_model("intensity-multiboson"), 0.0)
-        m = manifolds(spec, spec.k)  # f(0)=0 as well: fully dark block
+        m = manifolds(spec, spec.validate_range(spec.k))  # f(0)=0 as well: fully dark block
         detuning = spec.omega0 / spec.k - spec.omega
         assert m.rabi_frequency[0] == pytest.approx(abs(detuning), rel=1e-15)
         assert m.beta[0] in (0.0, math.pi)
@@ -124,7 +124,7 @@ class TestManifold:
     def test_block_eigendecomposition_oracle(self, entry):
         # oracle: numpy eigh of the bare 2x2 block must reproduce (E_-, E_+)
         spec = entry.spec
-        m = manifolds(spec, 20 + spec.k)
+        m = manifolds(spec, spec.validate_range(20 + spec.k))
         for n in (0, 1, 5, 20):
             e_top = spec.omega * n + spec.omega0 / 2 + spec.F(n) + spec.G(n)
             nk = n + spec.k
@@ -139,7 +139,7 @@ class TestManifold:
 
     @pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
     def test_invariants(self, entry):
-        m = manifolds(entry.spec, 35 + entry.spec.k)
+        m = manifolds(entry.spec, entry.spec.validate_range(35 + entry.spec.k))
         for n in range(0, 40, 7):
             assert 0.0 <= m.beta[n] <= math.pi
             assert m.rabi_frequency[n] >= 0.0
@@ -151,20 +151,20 @@ class TestManifold:
 
 class TestDressedStates:
     def test_no_mixing(self):
-        m = replace(manifolds(JC, 1), beta=np.array([0.0]))
+        m = replace(manifolds(JC, JC.validate_range(1)), beta=np.array([0.0]))
         plus, minus = dressed_states(m)[0]
         assert plus.tolist() == [1.0, 0.0]
         assert minus.tolist() == [0.0, 1.0]
 
     def test_full_mixing(self):
-        m = manifolds(JC, 1)  # beta = pi/2 at resonance
+        m = manifolds(JC, JC.validate_range(1))  # beta = pi/2 at resonance
         (ce_p, cg_p), (ce_m, cg_m) = dressed_states(m)[0]
         r = math.sqrt(0.5)
         assert (ce_p, cg_p) == pytest.approx((r, r))
         assert (ce_m, cg_m) == pytest.approx((-r, r))
 
     def test_orthonormal_for_any_angle(self):
-        m = replace(manifolds(JC, 13), beta=np.linspace(0.0, math.pi, 13))
+        m = replace(manifolds(JC, JC.validate_range(13)), beta=np.linspace(0.0, math.pi, 13))
         for plus, minus in dressed_states(m):
             assert plus[0] ** 2 + plus[1] ** 2 == pytest.approx(1.0, abs=1e-15)
             assert minus[0] ** 2 + minus[1] ** 2 == pytest.approx(1.0, abs=1e-15)
@@ -173,12 +173,13 @@ class TestDressedStates:
 
 class TestDarkLevels:
     def test_count_equals_k(self):
-        assert len(dark_levels(registry_model("stark-two-photon"))) == 2
-        assert len(dark_levels(JC)) == 1
+        spec = registry_model("stark-two-photon")
+        assert len(dark_levels(spec, spec.validate_range(8))) == 2
+        assert len(dark_levels(JC, JC.validate_range(8))) == 1
 
     def test_energy_formula(self):
         spec = registry_model("stark-two-photon")
-        for n, energy in enumerate(dark_levels(spec)):
+        for n, energy in enumerate(dark_levels(spec, spec.validate_range(spec.k - 1))):
             expected = spec.omega * n - spec.omega0 / 2 - spec.F(n) + spec.G(n)
             assert energy == expected
 
@@ -242,18 +243,18 @@ class TestEvolve:
 class TestSigmaZFock:
     def test_initial_value_is_one(self):
         for entry in registry():
-            m = manifolds(entry.spec, 4 + entry.spec.k)
+            m = manifolds(entry.spec, entry.spec.validate_range(4 + entry.spec.k))
             assert sigma_z_fock(m, 0.0)[4] == pytest.approx(1.0, abs=1e-15)
 
     def test_jc_resonance_cosine(self):
         t = np.linspace(0.0, 40.0, 101)
-        sigma_z = sigma_z_fock(manifolds(JC, 12), t)
+        sigma_z = sigma_z_fock(manifolds(JC, JC.validate_range(12)), t)
         for n in (0, 3, 11):
             expected = np.cos(2 * JC.g * math.sqrt(n + 1) * t)
             assert np.max(np.abs(sigma_z[n] - expected)) < 1e-12
 
     def test_decoupled_is_constant(self):
-        m = manifolds(_with_g(JC, 0.0), 6)
+        m = manifolds(_with_g(JC, 0.0), JC.validate_range(6))
         t = np.linspace(0.0, 100.0, 11)
         assert np.max(np.abs(sigma_z_fock(m, t)[5] - 1.0)) == 0.0
 
@@ -266,7 +267,7 @@ class TestSigmaZFock:
                 initial = fock_state("e", n, n_max)
                 times = np.linspace(0.0, 80.0, 57)
                 trace = trace_observables(spec, initial, times)
-                closed_form = sigma_z_fock(manifolds(spec, n_max), times)[n]
+                closed_form = sigma_z_fock(manifolds(spec, spec.validate_range(n_max)), times)[n]
                 assert np.max(np.abs(trace.sigma_z - closed_form)) < 1e-10
 
 
@@ -297,7 +298,7 @@ class TestSigmaZCoherent:
         # Poisson-weighted closed forms, which is the |e, alpha> trace
         mean = abs(alpha) ** 2
         weights = [math.exp(-mean) * mean**j / math.factorial(j) for j in range(j_max + 1)]
-        rows = sigma_z_fock(manifolds(spec, j_max + spec.k), times)
+        rows = sigma_z_fock(manifolds(spec, spec.validate_range(j_max + spec.k)), times)
         return sum(w * row for w, row in zip(weights, rows))
 
     def test_series_equals_excited_initial_trace(self):
@@ -355,7 +356,8 @@ class TestTraceObservables:
 
 
 def test_manifolds_cover_truncation():
-    m = manifolds(registry_model("stark-two-photon"), 16)
+    spec = registry_model("stark-two-photon")
+    m = manifolds(spec, spec.validate_range(16))
     assert m.n_total.tolist() == [n + 1.0 for n in range(15)]
     assert all(
         len(column) == 15
@@ -366,7 +368,7 @@ def test_manifolds_cover_truncation():
 def _assert_phase_rate_is_two_point(spec, n_max):
     # manifolds reads F and G from the model table at ints; aux_two_point
     # evaluates them at float-valued n and n + k.  Both must give the same bits.
-    table = manifolds(spec, n_max)
+    table = manifolds(spec, spec.validate_range(n_max))
     for n_total, rate in zip(table.n_total.tolist(), table.phase_rate.tolist()):
         assert rate == spec.omega * n_total + aux_two_point(spec, n_total)[0]
 

@@ -194,8 +194,9 @@ class TestConservation:
             n_max = 40
             h = assemble(spec, n_max)
             vals, _ = spectrum(h)
-            m = manifolds(spec, n_max)
-            expected = [*m.e_plus, *m.e_minus, *dark_levels(spec)]
+            model_table = spec.validate_range(n_max)
+            m = manifolds(spec, model_table)
+            expected = [*m.e_plus, *m.e_minus, *dark_levels(spec, model_table)]
             for n in range(n_max - spec.k + 1, n_max + 1):
                 expected.append(
                     spec.omega * n + spec.omega0 / 2.0 + spec.F(n) + spec.G(n)

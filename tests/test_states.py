@@ -96,6 +96,13 @@ class TestCoherent:
         assert s.tail_mass == pytest.approx(poisson_tail_oracle(40.0, 2400), abs=1e-13)
 
 
+    @pytest.mark.parametrize("alpha", [1e6, 1e150j])
+    def test_cutoff_far_below_the_mode_gives_zeros(self, alpha):
+        coeffs, tail = coherent_amplitudes(alpha, 64)
+        assert coeffs.tolist() == [0.0] * 65
+        assert tail == 1.0
+
+
 @st.composite
 def coherent_requests(draw):
     """(alpha, n_max) with |alpha| <= 100 and n_max anywhere up to past the
