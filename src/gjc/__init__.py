@@ -3,7 +3,6 @@ the underlying graded operator algebra, exact time evolution, and an
 independent truncated-Fock-space cross-check."""
 
 from .analytic import (
-    ObservableTrace,
     aux_binomial,
     aux_two_point,
     dark_levels,
@@ -14,17 +13,8 @@ from .analytic import (
 )
 from .algebra import verify_relations
 from .errors import ConfigError, TruncationError
-from .model import (
-    DEFAULT_N_MAX,
-    FnKind,
-    ModelRegistryEntry,
-    ModelSpec,
-    NonlinearFn,
-    load_model,
-    registry,
-    registry_model,
-)
-from .oracle import HamiltonianMatrix, assemble, propagate
+from .model import DEFAULT_N_MAX, ModelSpec, load_model, registry, registry_model
+from .oracle import assemble, propagate
 from .states import QubitBosonState, coherent_state, fock_state, observables
 
 __version__ = "0.1.0"
@@ -32,12 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DEFAULT_N_MAX",
-    "FnKind",
-    "HamiltonianMatrix",
-    "ModelRegistryEntry",
     "ModelSpec",
-    "NonlinearFn",
-    "ObservableTrace",
     "QubitBosonState",
     "TruncationError",
     "assemble",

@@ -10,9 +10,6 @@ either representation, so a block residual equals the dense Fock-basis one.
 Stack layout: shape (n_max + k + 1, 2, 2); row i holds the manifold with
 slot 0 = |e, i-k> and slot 1 = |g, i>.  A slot whose Fock level lies
 outside 0..n_max is absent and carries zeros.
-
-The dense basis ordering used by the oracle is
-index = row * (n_max + 1) + n with row 0 = excited, row 1 = ground.
 """
 
 from __future__ import annotations
@@ -21,18 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ModelSpec, tabulate
-
-
-def basis_dim(n_max: int) -> int:
-    return 2 * (n_max + 1)
-
-
-def e_index(n: int, n_max: int) -> int:
-    return n
-
-
-def g_index(n: int, n_max: int) -> int:
-    return (n_max + 1) + n
 
 
 def ladder_product(n, k: int):

@@ -100,7 +100,6 @@ class Manifolds:
     oscillation frequency of every observable in the block.
     """
 
-    k: int
     n_total: np.ndarray
     beta: np.ndarray
     rabi_frequency: np.ndarray
@@ -134,7 +133,6 @@ def manifolds(spec: ModelSpec, model_table) -> Manifolds:
     n_total = np.arange(nb) + k / 2.0
     phase_rate = spec.omega * n_total + center
     return Manifolds(
-        k=k,
         n_total=n_total,
         beta=beta,
         rabi_frequency=rabi,
@@ -242,24 +240,13 @@ def sigma_z_fock(table: Manifolds, t):
     return cos_b**2 + sin_b**2 * np.cos(split * t)
 
 
-@dataclass(frozen=True)
-class ObservableTrace:
-    """Time series of (<sigma_z>, <n>, <x>, <y>)."""
-
-    times: np.ndarray
-    sigma_z: np.ndarray
-    n_mean: np.ndarray
-    x_mean: np.ndarray
-    y_mean: np.ndarray
-
-
-def trace_observables(spec: ModelSpec, initial: QubitBosonState, times) -> ObservableTrace:
-    """Evolve, then record all four observables on the time grid.
+def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
+    """Evolve, then record (<sigma_z>, <n>, <x>, <y>) on the time grid, one
+    array per observable as ``states.observables`` gives them.
 
     Raises TruncationError if the top 2k Fock levels ever hold more
     population than the leak tolerance, exactly as the oracle does.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     amp_e, amp_g = evolve_amplitudes(spec, initial, times)
     check_leak(amp_e, amp_g, 2 * spec.k)
-    return ObservableTrace(times, *observables(amp_e, amp_g))
+    return observables(amp_e, amp_g)

@@ -200,8 +200,7 @@ def cmd_evolve(args) -> int:
 
     columns = ["t", "sigma_z", "n_mean", "x_mean", "y_mean"]
     if args.engine in ("analytic", "both"):
-        trace = analytic.trace_observables(spec, initial, times)
-        data = [trace.sigma_z, trace.n_mean, trace.x_mean, trace.y_mean]
+        data = analytic.trace_observables(spec, initial, times)
     if args.engine in ("oracle", "both"):
         h = oracle.assemble(spec, args.n_max)
         oracle_data = observables(*oracle.propagate(h, initial, times))
@@ -209,13 +208,15 @@ def cmd_evolve(args) -> int:
             data = oracle_data
     if args.engine == "both":
         columns += ["resid_sigma_z", "resid_n_mean", "resid_x_mean", "resid_y_mean"]
-        data += [np.abs(a - b) for a, b in zip(data, oracle_data)]
+        data += tuple(np.abs(a - b) for a, b in zip(data, oracle_data))
     _write_csv(args.out, manifest, ",".join(columns), np.column_stack([times, *data]))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     spec, name, config = _resolve_model(args)
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold!r}")
     guard = args.guard if args.guard is not None else 2 * spec.k
     manifest = RunManifest(
         mode="verify",

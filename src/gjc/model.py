@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -24,22 +24,9 @@ MAX_POLY_DEGREE = 8
 DEFAULT_N_MAX = 64
 
 
-class FnKind(str, Enum):
-    """Builtin shapes for the nonlinear boson-number functions."""
-
-    ZERO = "Zero"
-    ONE = "One"
-    POLY = "Poly"
-    SQRT_N = "SqrtN"
-    POWER_N = "PowerN"
-    KERR = "Kerr"
-    Q_BRACKET_SQRT = "QBracketSqrt"
-    PARITY = "Parity"
-    ALGEBRAIC_SQRT = "AlgebraicSqrt"
-    LINEAR_STARK = "LinearStark"
-
-
 def _require_finite(name, value):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
@@ -100,9 +87,9 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    FnKind.ZERO: _Kind(0, lambda p, n: 0.0, lambda p: "0", lambda p: ()),
-    FnKind.ONE: _Kind(0, lambda p, n: 1.0, lambda p: "1", lambda p: (1.0,)),
-    FnKind.POLY: _Kind(
+    "Zero": _Kind(0, lambda p, n: 0.0, lambda p: "0", lambda p: ()),
+    "One": _Kind(0, lambda p, n: 1.0, lambda p: "1", lambda p: (1.0,)),
+    "Poly": _Kind(
         None,
         _poly_value,
         lambda p: " + ".join(f"{c:g}*n^{j}" for j, c in enumerate(p) if c != 0.0) or "0",
@@ -110,8 +97,8 @@ _KINDS = {
         error=lambda p: f"Poly degree is capped at {MAX_POLY_DEGREE}, got degree {len(p) - 1}"
         if len(p) > MAX_POLY_DEGREE + 1 else None,
     ),
-    FnKind.SQRT_N: _Kind(0, lambda p, n: math.sqrt(n), lambda p: "sqrt(n)"),
-    FnKind.POWER_N: _Kind(
+    "SqrtN": _Kind(0, lambda p, n: math.sqrt(n), lambda p: "sqrt(n)"),
+    "PowerN": _Kind(
         1,
         lambda p, n: float(n) ** p[0],
         lambda p: f"n^{p[0]:g}",
@@ -120,21 +107,21 @@ _KINDS = {
         error=lambda p: f"PowerN requires a non-negative exponent, got {p[0]}"
         if p[0] < 0.0 else None,
     ),
-    FnKind.KERR: _Kind(
+    "Kerr": _Kind(
         1, lambda p, n: p[0] * n * (n - 1.0), lambda p: f"{p[0]:g}*n*(n-1)",
         lambda p: (0.0, -p[0], p[0]),
     ),
-    FnKind.Q_BRACKET_SQRT: _Kind(
+    "QBracketSqrt": _Kind(
         1, _q_bracket_value, lambda p: f"sqrt([n]_q), q={p[0]:g}",
         error=lambda p: None if 0.0 < p[0] <= 1.0
         else f"QBracketSqrt requires 0 < q <= 1, got q={p[0]}",
     ),
-    FnKind.PARITY: _Kind(1, _parity_value, lambda p: f"{p[0]:g}*(-1)^n"),
-    FnKind.ALGEBRAIC_SQRT: _Kind(
+    "Parity": _Kind(1, _parity_value, lambda p: f"{p[0]:g}*(-1)^n"),
+    "AlgebraicSqrt": _Kind(
         3, _algebraic_value, lambda p: f"sqrt(1-({p[0]:g}/{p[2]:g})*(1-n^{p[1] - 1:g}))",
         error=_algebraic_error,
     ),
-    FnKind.LINEAR_STARK: _Kind(
+    "LinearStark": _Kind(
         1, lambda p, n: p[0] * n, lambda p: f"{p[0]:g}*n", lambda p: (0.0, p[0])
     ),
 }
@@ -150,20 +137,18 @@ class NonlinearFn:
     argument (Parity extends to non-integers as ``lam * cos(pi n)``).
     """
 
-    kind: FnKind
+    kind: str
     params: tuple = ()
 
     def __post_init__(self):
-        try:
-            kind = FnKind(self.kind)
-        except ValueError:
-            raise ConfigError(f"unknown function kind {self.kind!r}") from None
-        params = tuple(_require_finite(f"{kind.value} parameter", p) for p in self.params)
-        object.__setattr__(self, "kind", kind)
+        # A list is unhashable, so the type is checked before the lookup.
+        row = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if row is None:
+            raise ConfigError(f"unknown function kind {self.kind!r}")
+        params = tuple(_require_finite(f"{self.kind} parameter", p) for p in self.params)
         object.__setattr__(self, "params", params)
-        row = _KINDS[kind]
         if row.n_params is not None and len(params) != row.n_params:
-            raise ConfigError(f"{kind.value} takes {row.n_params} parameter(s), got {len(params)}")
+            raise ConfigError(f"{self.kind} takes {row.n_params} parameter(s), got {len(params)}")
         error = row.error(params)
         if error is not None:
             raise ConfigError(error)
@@ -181,7 +166,7 @@ class NonlinearFn:
         """
         coeffs = _KINDS[self.kind].coefficients(self.params)
         if coeffs is None:
-            raise ValueError(f"{self.kind.value} is not polynomial in the boson number")
+            raise ValueError(f"{self.kind} is not polynomial in the boson number")
         return coeffs
 
     def describe(self) -> str:
@@ -189,7 +174,7 @@ class NonlinearFn:
         return _KINDS[self.kind].describe(self.params)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "params": list(self.params)}
+        return {"kind": self.kind, "params": list(self.params)}
 
     @classmethod
     def from_dict(cls, doc) -> "NonlinearFn":
@@ -200,7 +185,10 @@ class NonlinearFn:
             raise ConfigError(f"unknown function keys: {sorted(unknown)}")
         if "kind" not in doc:
             raise ConfigError("function document is missing 'kind'")
-        return cls(kind=doc["kind"], params=tuple(doc.get("params", ())))
+        params = doc.get("params", [])
+        if not isinstance(params, list):
+            raise ConfigError(f"function params must be an array, got {type(params).__name__}")
+        return cls(kind=doc["kind"], params=tuple(params))
 
 
 def tabulate(fn: NonlinearFn, n_max: int, label: str) -> np.ndarray:
@@ -226,21 +214,21 @@ def tabulate(fn: NonlinearFn, n_max: int, label: str) -> np.ndarray:
 
 
 # Shorthand constructors for the builtin kinds.
-ZERO = NonlinearFn(FnKind.ZERO)
-ONE = NonlinearFn(FnKind.ONE)
-SQRT_N = NonlinearFn(FnKind.SQRT_N)
+ZERO = NonlinearFn("Zero")
+ONE = NonlinearFn("One")
+SQRT_N = NonlinearFn("SqrtN")
 
 
 def poly(*coeffs) -> NonlinearFn:
-    return NonlinearFn(FnKind.POLY, tuple(coeffs))
+    return NonlinearFn("Poly", tuple(coeffs))
 
 
 def kerr(chi) -> NonlinearFn:
-    return NonlinearFn(FnKind.KERR, (chi,))
+    return NonlinearFn("Kerr", (chi,))
 
 
 def linear_stark(slope) -> NonlinearFn:
-    return NonlinearFn(FnKind.LINEAR_STARK, (slope,))
+    return NonlinearFn("LinearStark", (slope,))
 
 
 @dataclass(frozen=True)
@@ -404,7 +392,7 @@ def _build_registry() -> tuple:
             spec=ModelSpec(
                 **common,
                 k=1,
-                f=NonlinearFn(FnKind.ALGEBRAIC_SQRT, (0.5, 2.0, 1.0)),
+                f=NonlinearFn("AlgebraicSqrt", (0.5, 2.0, 1.0)),
                 F=ZERO,
                 G=poly(0.0, -0.5, 0.5),
             ),
@@ -416,14 +404,14 @@ def _build_registry() -> tuple:
         ),
         ModelRegistryEntry(
             name="parity-deformed",
-            spec=ModelSpec(**common, k=1, f=ONE, F=ZERO, G=NonlinearFn(FnKind.PARITY, (0.2,))),
+            spec=ModelSpec(**common, k=1, f=ONE, F=ZERO, G=NonlinearFn("Parity", (0.2,))),
             figure=7,
             notes="parity-deformed oscillator, boson shift lambda*(-1)^n with lambda=0.2",
         ),
         ModelRegistryEntry(
             name="q-deformed",
             spec=ModelSpec(
-                **common, k=1, f=NonlinearFn(FnKind.Q_BRACKET_SQRT, (0.9,)), F=ZERO, G=ZERO
+                **common, k=1, f=NonlinearFn("QBracketSqrt", (0.9,)), F=ZERO, G=ZERO
             ),
             figure=8,
             notes=(

@@ -5,6 +5,9 @@ This module shares no diagonalization code with the closed-form engine; the
 two paths arbitrate each other.  Dimensions stay desk-scale (2*(n_max+1)),
 so a dense real-symmetric eigendecomposition is the propagator and
 time grids are reusable for free.
+
+The dense basis ordering is
+index = row * (n_max + 1) + n with row 0 = excited, row 1 = ground.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import basis_dim, e_index, g_index, ladder_factor
+from .algebra import ladder_factor
 from .errors import ConfigError
 from .model import ModelSpec
 from .states import QubitBosonState, check_leak
@@ -22,11 +25,23 @@ _NORM_TOL = 1e-12
 _EIG_RESIDUAL_TOL = 1e-10
 
 
+def basis_dim(n_max: int) -> int:
+    return 2 * (n_max + 1)
+
+
+def e_index(n: int) -> int:
+    return n
+
+
+def g_index(n: int, n_max: int) -> int:
+    return (n_max + 1) + n
+
+
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Dense real-symmetric Hamiltonian on the truncated space.
 
-    Basis ordering matches the algebra module.  Off-diagonals connect
+    Basis ordering as in the module docstring.  Off-diagonals connect
     |e,n> and |g,n+k> only.
     """
 
@@ -43,10 +58,6 @@ class HamiltonianMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
-    @property
-    def dim(self) -> int:
-        return basis_dim(self.n_max)
-
 
 def assemble(spec: ModelSpec, n_max: int) -> HamiltonianMatrix:
     """Full Hamiltonian matrix of the model on 0..n_max.
@@ -60,7 +71,7 @@ def assemble(spec: ModelSpec, n_max: int) -> HamiltonianMatrix:
         raise ConfigError(f"n_max={n_max} must be >= k={spec.k}")
     f, F, G = spec.validate_range(n_max)
     n = np.arange(n_max + 1)
-    e, g = e_index(n, n_max), g_index(n, n_max)
+    e, g = e_index(n), g_index(n, n_max)
     mat = np.zeros((basis_dim(n_max), basis_dim(n_max)))
     mat[e, e] = spec.omega * n + spec.omega0 / 2.0 + F + G
     mat[g, g] = spec.omega * n - spec.omega0 / 2.0 - F + G

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TruncationError
 
-EPS_TRUNC_DEFAULT = 1e-12
+EPS_TRUNC = 1e-12
 LEAK_TOLERANCE = 1e-10
 _NORM_TOL = 1e-12
 
@@ -120,26 +120,21 @@ def _coherent_from_mode(alpha: complex, n_max: int) -> np.ndarray:
     return mags[: n_max + 1] * phases
 
 
-def coherent_state(
-    qubit: str,
-    alpha: complex,
-    n_max: int,
-    eps_trunc: float = EPS_TRUNC_DEFAULT,
-) -> QubitBosonState:
+def coherent_state(qubit: str, alpha: complex, n_max: int) -> QubitBosonState:
     """|qubit, alpha> truncated at n_max.
 
     Raises TruncationError when the discarded Poisson tail exceeds
-    ``eps_trunc``; the suggested retry cutoff covers the mean plus ten
+    EPS_TRUNC; the suggested retry cutoff covers the mean plus ten
     standard deviations of the photon-number distribution.
     """
     _check_qubit(qubit)
     coeffs, tail = coherent_amplitudes(alpha, n_max)
-    if tail > eps_trunc:
+    if tail > EPS_TRUNC:
         mean = abs(alpha) ** 2
         suggestion = int(math.ceil(mean + 10.0 * math.sqrt(mean) + 20.0))
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):g} loses tail mass {tail:.3e} "
-            f"> {eps_trunc:g} at n_max={n_max}; retry with n_max >= {suggestion}",
+            f"> {EPS_TRUNC:g} at n_max={n_max}; retry with n_max >= {suggestion}",
             suggested_n_max=suggestion,
         )
     zeros = np.zeros(n_max + 1, dtype=np.complex128)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gjc.algebra import e_index, g_index, verify_relations
+from gjc.algebra import verify_relations
 from gjc.analytic import (
     aux_binomial,
     aux_two_point,
@@ -21,7 +21,7 @@ from gjc.analytic import (
     trace_observables,
 )
 from gjc.model import ModelSpec, ONE, poly, registry, registry_model
-from gjc.oracle import assemble, propagate
+from gjc.oracle import assemble, e_index, g_index, propagate
 from gjc.states import coherent_state, observables
 
 N_MAX = 64
@@ -61,14 +61,7 @@ def runs():
         data[entry.name] = {
             "spec": spec,
             "tail": initial.tail_mass,
-            "analytic": np.column_stack(
-                [
-                    analytic_trace.sigma_z,
-                    analytic_trace.n_mean,
-                    analytic_trace.x_mean,
-                    analytic_trace.y_mean,
-                ]
-            ),
+            "analytic": np.column_stack(analytic_trace),
             "oracle": oracle_obs,
             "energies": energies,
             "norms_analytic": analytic_norms,
@@ -125,8 +118,8 @@ def test_criterion_3_eigenstructure():
             plus, minus = dressed[n_lower]
             e_plus, e_minus = m.e_plus[n_lower], m.e_minus[n_lower]
             for (ce, cg), energy in ((plus, e_plus), (minus, e_minus)):
-                v = np.zeros(h.dim)
-                v[e_index(n_lower, N_MAX)] = ce
+                v = np.zeros(h.mat.shape[0])
+                v[e_index(n_lower)] = ce
                 v[g_index(n_lower + spec.k, N_MAX)] = cg
                 residual = float(np.linalg.norm(h.mat @ v - energy * v))
                 worst_residual = max(worst_residual, residual)
@@ -187,13 +180,13 @@ def test_criterion_5_jc_closed_forms():
 
 def test_criterion_6a_jc_collapse_and_revival():
     times = np.linspace(0.0, 220.0, 2201)
-    trace = trace_observables(
+    sigma_z, *_ = trace_observables(
         registry_model("jc"), coherent_state("g", ALPHA, N_MAX), times
     )
     collapse_window = (times >= 40.0) & (times <= 120.0)
     revival_window = (times >= 150.0) & (times <= 220.0)
-    collapse = float(np.mean(np.abs(trace.sigma_z[collapse_window])))
-    revival = float(np.max(np.abs(trace.sigma_z[revival_window])))
+    collapse = float(np.mean(np.abs(sigma_z[collapse_window])))
+    revival = float(np.max(np.abs(sigma_z[revival_window])))
     report(
         "6a JC collapse and revival",
         collapse < 0.1 and revival > 0.3,
@@ -206,8 +199,7 @@ def test_criterion_6b_kerr_periodicity():
     spec = registry_model("kerr-two-photon")
     dt = 0.005
     times = np.arange(0.0, 40.0 + dt / 2, dt)
-    trace = trace_observables(spec, coherent_state("g", ALPHA, N_MAX), times)
-    obs = np.stack([trace.sigma_z, trace.n_mean, trace.x_mean, trace.y_mean])
+    obs = np.stack(trace_observables(spec, coherent_state("g", ALPHA, N_MAX), times))
 
     # empirical period: the shift in [1, 20] minimizing the worst observable
     # mismatch between the trace and its shifted copy
@@ -236,10 +228,10 @@ def test_criterion_6c_parity_negative_bias():
     kernel = np.ones(window) / window
 
     def running_bias(name):
-        trace = trace_observables(
+        sigma_z, *_ = trace_observables(
             registry_model(name), coherent_state("g", ALPHA, N_MAX), times
         )
-        bias = np.convolve(trace.sigma_z, kernel, mode="valid")
+        bias = np.convolve(sigma_z, kernel, mode="valid")
         centers = times[window - 1 :] - (window - 1) * dt / 2.0
         return centers, bias
 

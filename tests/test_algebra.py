@@ -5,17 +5,14 @@ import pytest
 
 from gjc.algebra import (
     auxiliary_charges,
-    basis_dim,
     build_operator_set,
-    e_index,
-    g_index,
     ladder_factor,
     ladder_product,
     verify_relations,
 )
 from gjc.errors import ConfigError
 from gjc.model import ModelSpec, SQRT_N, ZERO, registry, registry_model
-from gjc.oracle import assemble
+from gjc.oracle import assemble, basis_dim, e_index, g_index
 
 JC = registry_model("jc")
 INTENSITY = registry_model("intensity-multiboson")
@@ -41,11 +38,11 @@ def dense_reference(spec: ModelSpec, n_max: int, guard: int) -> dict:
     dim = basis_dim(n_max)
     q_dag = np.zeros((dim, dim))
     for n in range(n_max - k + 1):
-        q_dag[e_index(n, n_max), g_index(n + k, n_max)] = spec.f(n) * ladder_factor(n, k)
+        q_dag[e_index(n), g_index(n + k, n_max)] = spec.f(n) * ladder_factor(n, k)
     q = q_dag.T.copy()
     diag = np.zeros(dim)
     for n in range(n_max + 1):
-        diag[e_index(n, n_max)] = spec.f(n) ** 2 * ladder_product(n, k)
+        diag[e_index(n)] = spec.f(n) ** 2 * ladder_product(n, k)
         if n >= k:
             diag[g_index(n, n_max)] = spec.f(n - k) ** 2 * ladder_product(n - k, k)
     ham = np.diag(diag)
@@ -221,7 +218,7 @@ class TestAuxiliaryCharges:
         q_x, _ = auxiliary_charges(JC, N_MAX)
         h = assemble(JC, N_MAX).mat.copy()
         for m in range(N_MAX - JC.k + 1):
-            e, g = e_index(m, N_MAX), g_index(m + JC.k, N_MAX)
+            e, g = e_index(m), g_index(m + JC.k, N_MAX)
             assert h[e, g] == JC.g * q_x[m + JC.k, 0, 1]
             assert h[g, e] == JC.g * q_x[m + JC.k, 1, 0]
             h[e, g] = h[g, e] = 0.0

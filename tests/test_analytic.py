@@ -266,14 +266,15 @@ class TestSigmaZFock:
                 n_max = n + 2 * spec.k + 4
                 initial = fock_state("e", n, n_max)
                 times = np.linspace(0.0, 80.0, 57)
-                trace = trace_observables(spec, initial, times)
+                sigma_z, *_ = trace_observables(spec, initial, times)
                 closed_form = sigma_z_fock(manifolds(spec, spec.validate_range(n_max)), times)[n]
-                assert np.max(np.abs(trace.sigma_z - closed_form)) < 1e-10
+                assert np.max(np.abs(sigma_z - closed_form)) < 1e-10
 
 
 def _sigma_z_coherent(spec, alpha, times):
     """Inversion trace of |g, alpha> on the reference cutoff."""
-    return trace_observables(spec, coherent_state("g", alpha, 64), times).sigma_z
+    sigma_z, *_ = trace_observables(spec, coherent_state("g", alpha, 64), times)
+    return sigma_z
 
 
 class TestSigmaZCoherent:
@@ -306,29 +307,29 @@ class TestSigmaZCoherent:
             spec = registry_model(name)
             times = np.linspace(0.0, 60.0, 121)
             series = self._inversion_series(spec, 2.0, times)
-            trace = trace_observables(spec, coherent_state("e", 2.0, 48), times)
-            assert np.max(np.abs(series - trace.sigma_z)) < 1e-9
+            sigma_z, *_ = trace_observables(spec, coherent_state("e", 2.0, 48), times)
+            assert np.max(np.abs(series - sigma_z)) < 1e-9
 
     def test_series_initial_value(self):
         # the |e, alpha> trace the series equals starts fully inverted
-        trace = trace_observables(JC, coherent_state("e", 3.0, 64), [0.0])
-        assert trace.sigma_z[0] == pytest.approx(1.0, abs=1e-12)
+        sigma_z, *_ = trace_observables(JC, coherent_state("e", 3.0, 64), [0.0])
+        assert sigma_z[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTraceObservables:
     def test_initial_coherent_quadratures(self):
-        trace = trace_observables(JC, coherent_state("g", 3.0, 64), [0.0])
-        assert trace.x_mean[0] == pytest.approx(3.0, abs=1e-9)
-        assert trace.y_mean[0] == pytest.approx(0.0, abs=1e-12)
-        assert trace.n_mean[0] == pytest.approx(9.0, abs=1e-9)
+        _, n_mean, x_mean, y_mean = trace_observables(JC, coherent_state("g", 3.0, 64), [0.0])
+        assert x_mean[0] == pytest.approx(3.0, abs=1e-9)
+        assert y_mean[0] == pytest.approx(0.0, abs=1e-12)
+        assert n_mean[0] == pytest.approx(9.0, abs=1e-9)
 
     @pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
     def test_total_excitation_conserved(self, entry):
         spec = entry.spec
-        trace = trace_observables(
+        sigma_z, n_mean, _, _ = trace_observables(
             spec, coherent_state("g", 3.0, 64), np.linspace(0.0, 200.0, 81)
         )
-        ntot = trace.n_mean + (spec.k / 2.0) * trace.sigma_z
+        ntot = n_mean + (spec.k / 2.0) * sigma_z
         assert np.max(np.abs(ntot - ntot[0])) < 1e-10
 
     def test_boson_number_recovery_identity(self):
@@ -337,15 +338,15 @@ class TestTraceObservables:
         spec = registry_model("intensity-multiboson")
         initial = coherent_state("g", 2.0, 48)
         times = np.linspace(0.0, 50.0, 21)
-        trace = trace_observables(spec, initial, times)
+        sigma_z, n_mean, _, _ = trace_observables(spec, initial, times)
         ns = np.arange(49, dtype=float)
         for i, state in enumerate(evolve(spec, initial, times)):
             ntot = float(
                 np.sum((ns + spec.k / 2.0) * np.abs(state.amp_e) ** 2)
                 + np.sum((ns - spec.k / 2.0) * np.abs(state.amp_g) ** 2)
             )
-            recovered = ntot - (spec.k / 2.0) * trace.sigma_z[i]
-            assert recovered == pytest.approx(trace.n_mean[i], abs=1e-12)
+            recovered = ntot - (spec.k / 2.0) * sigma_z[i]
+            assert recovered == pytest.approx(n_mean[i], abs=1e-12)
 
     @pytest.mark.parametrize("initial", [fock_state("e", 8, 8), fock_state("g", 7, 8)])
     def test_guard_level_population_raises(self, initial):

@@ -349,6 +349,59 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold(self, value, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--model", "jc", "--nmax", "16", f"--threshold={value}"]
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"omega": "1"},
+            {"omega": None},
+            {"g": True},
+            {"f": {"kind": "One", "params": 5}},
+            {"f": {"kind": "One", "params": "ab"}},
+            {"G": {"kind": "Kerr", "params": None}},
+            {"G": {"kind": "Kerr", "params": [{"x": 1}]}},
+        ],
+        ids=[
+            "omega-string",
+            "omega-null",
+            "g-bool",
+            "params-number",
+            "params-string",
+            "params-null",
+            "params-object",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["spectrum", "evolve", "verify"])
+    def test_malformed_config_exit1(self, command, fault, tmp_path, capsys):
+        zero = {"kind": "Zero", "params": []}
+        doc = {"omega": 1.0, "omega0": 1.0, "g": 0.1, "k": 1, "f": zero, "F": zero, "G": zero}
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({**doc, **fault}))
+        out = tmp_path / "result.out"
+        assert main([command, "--config", str(cfg), "--nmax", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", [[], 5, None, "Banana"], ids=repr)
+    def test_unknown_function_kind_exit1(self, kind, tmp_path, capsys):
+        zero = {"kind": "Zero", "params": []}
+        doc = {"omega": 1.0, "omega0": 1.0, "g": 0.1, "k": 1, "f": zero, "F": zero}
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({**doc, "G": {"kind": kind, "params": []}}))
+        assert main(["spectrum", "--config", str(cfg), "--nmax", "8"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: unknown function kind {kind!r}"]
+
     def test_bad_initial_descriptor(self):
         assert main(["evolve", "--model", "jc", "--initial", "banana:g:1"]) == 1
         assert main(["evolve", "--model", "jc", "--initial", "fock:e"]) == 1

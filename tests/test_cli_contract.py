@@ -13,8 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjc import model
 from gjc.cli import main
-from gjc.model import MAX_POLY_DEGREE, FnKind, registry
+from gjc.model import MAX_POLY_DEGREE, registry
 
 # In-domain parameters of every function kind (README table).
 PARAMS = {
@@ -29,15 +30,18 @@ PARAMS = {
     "AlgebraicSqrt": [st.floats(0.0, 0.9), st.floats(1.0, 3.0), st.just(1.0)],
     "LinearStark": [st.floats(-0.5, 0.5)],
 }
-assert set(PARAMS) == {kind.value for kind in FnKind}
+assert set(PARAMS) == set(model._KINDS)
 
-# One fault a document may carry: a non-finite or out-of-range scalar, a
-# parameter count off by one, or a coupling that overflows.
+# One fault a document may carry: a non-finite, out-of-range or non-numeric
+# scalar, a parameter count off by one, params that are not an array, or a
+# coupling that overflows.
 FAULTS = [
     lambda doc: doc.update(omega=math.nan),
     lambda doc: doc.update(g=math.inf),
+    lambda doc: doc.update(omega0=str(doc["omega0"])),
     lambda doc: doc.update(k=0),
     lambda doc: doc["f"]["params"].append(0.5),
+    lambda doc: doc["G"].update(params=5),
     lambda doc: doc["G"]["params"].append(0.5),
     lambda doc: doc["F"].update(params=doc["F"]["params"][:-1] or [0.5]),
     lambda doc: doc.update(f={"kind": "Poly", "params": [0.1] * (MAX_POLY_DEGREE + 2)}),

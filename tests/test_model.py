@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjc import model
 from gjc.errors import ConfigError
 from gjc.model import (
     ONE,
     SQRT_N,
     ZERO,
-    FnKind,
     ModelSpec,
     NonlinearFn,
     kerr,
@@ -36,29 +36,29 @@ class TestEval:
         # oracle: the defining ratio (q^n - q^-n)/(q - q^-1) at n=2 is q + 1/q
         q = 0.9
         bracket = (q**2 - q**-2) / (q - 1.0 / q)
-        fn = NonlinearFn(FnKind.Q_BRACKET_SQRT, (q,))
+        fn = NonlinearFn("QBracketSqrt", (q,))
         assert fn(2) == pytest.approx(math.sqrt(bracket), rel=1e-14)
         assert fn(2) == pytest.approx(1.4181364924121765, rel=1e-14)
         assert fn(0) == 0.0
 
     def test_q_bracket_limit_q_one(self):
-        fn = NonlinearFn(FnKind.Q_BRACKET_SQRT, (1.0,))
+        fn = NonlinearFn("QBracketSqrt", (1.0,))
         assert fn(7) == math.sqrt(7)
 
     def test_parity(self):
-        fn = NonlinearFn(FnKind.PARITY, (0.2,))
+        fn = NonlinearFn("Parity", (0.2,))
         assert fn(0) == 0.2
         assert fn(3) == -0.2
         assert fn(2.5) == pytest.approx(0.2 * math.cos(2.5 * math.pi), abs=1e-15)
 
     def test_power_and_stark(self):
-        assert NonlinearFn(FnKind.POWER_N, (2.0,))(5) == 25.0
+        assert NonlinearFn("PowerN", (2.0,))(5) == 25.0
         assert linear_stark(0.875)(4) == 3.5
 
     def test_algebraic_sqrt_is_one_at_n_one(self):
         # radicand at n=1 is 1 - (chi_a/w)(1 - 1) = 1 for any parameters
         for chi_a, ell in [(0.0, 1.0), (0.5, 2.0), (0.3, 3.0)]:
-            fn = NonlinearFn(FnKind.ALGEBRAIC_SQRT, (chi_a, ell, 1.0))
+            fn = NonlinearFn("AlgebraicSqrt", (chi_a, ell, 1.0))
             assert fn(1) == 1.0
 
     def test_negative_argument_rejected(self):
@@ -85,19 +85,19 @@ class TestValidation:
     def test_q_bracket_range(self):
         for q in (0.0, -0.1, 1.5):
             with pytest.raises(ConfigError):
-                NonlinearFn(FnKind.Q_BRACKET_SQRT, (q,))
+                NonlinearFn("QBracketSqrt", (q,))
 
     def test_algebraic_sqrt_params(self):
         with pytest.raises(ConfigError):
-            NonlinearFn(FnKind.ALGEBRAIC_SQRT, (1.0, 2.0, 1.0))  # chi_a >= omega
+            NonlinearFn("AlgebraicSqrt", (1.0, 2.0, 1.0))  # chi_a >= omega
         with pytest.raises(ConfigError):
-            NonlinearFn(FnKind.ALGEBRAIC_SQRT, (0.5, 0.5, 1.0))  # ell < 1
+            NonlinearFn("AlgebraicSqrt", (0.5, 0.5, 1.0))  # ell < 1
 
     def test_param_arity(self):
         with pytest.raises(ConfigError):
-            NonlinearFn(FnKind.KERR, (0.5, 0.1))
+            NonlinearFn("Kerr", (0.5, 0.1))
         with pytest.raises(ConfigError):
-            NonlinearFn(FnKind.SQRT_N, (1.0,))
+            NonlinearFn("SqrtN", (1.0,))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -188,11 +188,11 @@ class TestRegistry:
     def test_parity_entry(self):
         spec = registry_model("parity-deformed")
         assert spec.k == 1
-        assert spec.G == NonlinearFn(FnKind.PARITY, (0.2,))
+        assert spec.G == NonlinearFn("Parity", (0.2,))
 
     def test_q_deformed_entry(self):
         spec = registry_model("q-deformed")
-        assert spec.f == NonlinearFn(FnKind.Q_BRACKET_SQRT, (0.9,))
+        assert spec.f == NonlinearFn("QBracketSqrt", (0.9,))
         assert spec.omega0 == 1.0  # normalized qubit term convention
 
     def test_roundtrip_is_lossless(self):
@@ -211,7 +211,7 @@ def test_poly_coefficients_helpers():
     assert ONE.poly_coefficients() == (1.0,)
     assert kerr(0.3).poly_coefficients() == (0.0, -0.3, 0.3)
     assert linear_stark(2.0).poly_coefficients() == (0.0, 2.0)
-    assert NonlinearFn(FnKind.POWER_N, (3.0,)).poly_coefficients() == (0.0, 0.0, 0.0, 1.0)
+    assert NonlinearFn("PowerN", (3.0,)).poly_coefficients() == (0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         SQRT_N.poly_coefficients()
 
@@ -221,21 +221,21 @@ SAMPLE_FUNCTIONS = [
     ONE,
     SQRT_N,
     poly(0.3, -1.2, 0.05, 1e-3),
-    NonlinearFn(FnKind.POWER_N, (1.5,)),
-    NonlinearFn(FnKind.POWER_N, (2.0,)),
+    NonlinearFn("PowerN", (1.5,)),
+    NonlinearFn("PowerN", (2.0,)),
     kerr(0.5),
     kerr(-0.3),
-    NonlinearFn(FnKind.Q_BRACKET_SQRT, (0.9,)),
-    NonlinearFn(FnKind.Q_BRACKET_SQRT, (1.0,)),
-    NonlinearFn(FnKind.PARITY, (0.2,)),
-    NonlinearFn(FnKind.ALGEBRAIC_SQRT, (0.5, 2.0, 1.0)),
-    NonlinearFn(FnKind.ALGEBRAIC_SQRT, (0.3, 2.7, 1.2)),
+    NonlinearFn("QBracketSqrt", (0.9,)),
+    NonlinearFn("QBracketSqrt", (1.0,)),
+    NonlinearFn("Parity", (0.2,)),
+    NonlinearFn("AlgebraicSqrt", (0.5, 2.0, 1.0)),
+    NonlinearFn("AlgebraicSqrt", (0.3, 2.7, 1.2)),
     linear_stark(-0.125),
 ]
 
 
 def test_samples_cover_every_kind():
-    assert {fn.kind for fn in SAMPLE_FUNCTIONS} == set(FnKind)
+    assert {fn.kind for fn in SAMPLE_FUNCTIONS} == set(model._KINDS)
 
 
 @pytest.mark.parametrize("fn", SAMPLE_FUNCTIONS, ids=lambda fn: fn.describe())
@@ -249,7 +249,7 @@ def test_int_and_float_argument_give_the_same_double(fn):
 
 class TestTabulate:
     def test_values_at_ints(self):
-        fn = NonlinearFn(FnKind.Q_BRACKET_SQRT, (0.9,))
+        fn = NonlinearFn("QBracketSqrt", (0.9,))
         values = tabulate(fn, 40, "f")
         assert values.dtype == np.float64
         assert values.tolist() == [fn(n) for n in range(41)]
@@ -257,7 +257,7 @@ class TestTabulate:
     def test_raising_value_names_function_and_n(self):
         # n**135 raises OverflowError from n = 193 on
         with pytest.raises(ConfigError, match=r"^G invalid at n=193: .*Numerical result"):
-            tabulate(NonlinearFn(FnKind.POWER_N, (135.0,)), 300, "G")
+            tabulate(NonlinearFn("PowerN", (135.0,)), 300, "G")
 
     def test_non_finite_value_names_function_and_n(self):
         # 1e308 * n is inf from n = 2 on, without raising
@@ -266,7 +266,7 @@ class TestTabulate:
 
     def test_first_fault_in_n_wins(self):
         # q-bracket at q=0.9: inf from n=6722, OverflowError from n=6737
-        fn = NonlinearFn(FnKind.Q_BRACKET_SQRT, (0.9,))
+        fn = NonlinearFn("QBracketSqrt", (0.9,))
         with pytest.raises(ConfigError, match=r"is not finite at n=6722$"):
             tabulate(fn, 8000, "coupling profile f")
 
