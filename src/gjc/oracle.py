@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import ladder_factor
 from .errors import ConfigError
 from .model import ModelSpec
-from .states import QubitBosonState, check_leak
+from .states import QubitBosonState, check_leak, guard_population
 
 _NORM_TOL = 1e-12
 _EIG_RESIDUAL_TOL = 1e-10
@@ -87,13 +87,13 @@ def spectrum(h: HamiltonianMatrix):
 
     Every eigenpair is residual-checked against a bound that scales with
     the largest |eigenvalue| (roundoff in H v grows with ||H||); a failure
-    is reported rather than silently degraded.
+    raises ConfigError rather than silently degrading the result.
     """
     vals, vecs = np.linalg.eigh(h.mat)
     residual = np.max(np.abs(h.mat @ vecs - vecs * vals))
     bound = _EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(vals))))
     if residual > bound:
-        raise RuntimeError(f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}")
+        raise ConfigError(f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}")
     return vals, vecs
 
 
@@ -102,8 +102,8 @@ def propagate(h: HamiltonianMatrix, initial: QubitBosonState, times):
     (n_max+1, len(times)).
 
     Expands in the eigenbasis and advances exact phases, verifies norm
-    preservation and raises TruncationError if the top 2k Fock levels ever
-    hold more population than the leak tolerance.
+    preservation (ConfigError on drift) and raises TruncationError if the
+    top 2k Fock levels ever hold more population than the leak tolerance.
     """
     if initial.n_max != h.n_max:
         raise ValueError(
@@ -118,7 +118,7 @@ def propagate(h: HamiltonianMatrix, initial: QubitBosonState, times):
     norms_squared = np.sum(np.abs(columns) ** 2, axis=0)
     drift = float(np.max(np.abs(norms_squared - initial.norm_squared())))
     if drift > _NORM_TOL:
-        raise RuntimeError(f"propagation norm drift {drift:.3e} exceeds {_NORM_TOL:g}")
+        raise ConfigError(f"propagation norm drift {drift:.3e} exceeds {_NORM_TOL:g}")
     amp_e, amp_g = columns[: h.n_max + 1], columns[h.n_max + 1 :]
-    check_leak(amp_e, amp_g, 2 * h.k)
+    check_leak(guard_population(amp_e, amp_g, 2 * h.k), h.n_max, 2 * h.k)
     return amp_e, amp_g

@@ -143,19 +143,25 @@ def coherent_state(qubit: str, alpha: complex, n_max: int) -> QubitBosonState:
     return QubitBosonState(n_max=n_max, amp_e=zeros, amp_g=coeffs, tail_mass=tail)
 
 
-def check_leak(amp_e, amp_g, guard: int) -> None:
-    """Raise TruncationError if the top ``guard`` Fock levels ever hold more
-    population than LEAK_TOLERANCE.
+def guard_population(amp_e, amp_g, guard: int) -> float:
+    """Largest population of the top ``guard`` Fock levels (clamped to n_max)
+    over the columns of amplitude matrices of shape (n_max+1, T).
 
-    ``amp_e`` and ``amp_g`` are amplitude matrices of shape (n_max+1, T);
-    the guard is clamped to n_max.
+    The levels are added one after another, the order numpy's column sums
+    take on a C-contiguous matrix of two or more columns, so any slice of
+    the columns gives the bits of the whole matrix.
     """
     n_max = amp_e.shape[0] - 1
-    guard = min(guard, n_max)
-    lo = n_max - guard + 1
+    lo = n_max - min(guard, n_max) + 1
     top = np.concatenate([amp_e[lo:], amp_g[lo:]], axis=0)
-    leak = float(np.max(np.sum(np.abs(top) ** 2, axis=0))) if top.size else 0.0
+    return float(np.max(np.cumsum(np.abs(top) ** 2, axis=0)[-1])) if top.size else 0.0
+
+
+def check_leak(leak: float, n_max: int, guard: int) -> None:
+    """Raise TruncationError if ``leak``, the largest population of the top
+    ``guard`` Fock levels (see guard_population), exceeds LEAK_TOLERANCE."""
     if leak > LEAK_TOLERANCE:
+        guard = min(guard, n_max)
         suggestion = 2 * n_max
         raise TruncationError(
             f"population {leak:.3e} in the top {guard} Fock level(s) exceeds "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjc.analytic import (
+    CHUNK_ELEMENTS,
     aux_binomial,
     aux_two_point,
     dark_levels,
     dressed_states,
     evolve,
+    evolve_amplitudes,
     manifolds,
     sigma_z_fock,
     trace_observables,
@@ -28,7 +31,7 @@ from gjc.model import (
     registry_model,
 )
 from gjc.oracle import assemble, propagate
-from gjc.states import coherent_state, fock_state, observables
+from gjc.states import QubitBosonState, coherent_amplitudes, coherent_state, fock_state, observables
 
 JC = registry_model("jc")
 
@@ -354,6 +357,75 @@ class TestTraceObservables:
         with pytest.raises(TruncationError) as excinfo:
             trace_observables(JC, initial, [0.0, 1.0])
         assert excinfo.value.suggested_n_max == 16
+
+
+def _chunk(n_max):
+    return max(1, CHUNK_ELEMENTS // (n_max + 1))
+
+
+def _both_levels_coherent(alpha, n_max):
+    """0.6|e, alpha> + 0.8i|g, alpha>: every block and both qubit rows populated."""
+    coeffs, tail = coherent_amplitudes(alpha, n_max)
+    return QubitBosonState(n_max=n_max, amp_e=0.6 * coeffs, amp_g=0.8j * coeffs, tail_mass=tail)
+
+
+# (n_max, T): one point, a chunk minus one, one chunk, one chunk plus one
+# and the 2001-point default grid, down to a chunk of a few columns; at
+# n_max 4096 the whole-grid reference would need about 1 GB at 2001 points,
+# so that cutoff ends at three chunks and two columns.
+_GRIDS = [
+    (n_max, points)
+    for n_max in (8, 64, 384, 1024, 4096)
+    for chunk in [_chunk(n_max)]
+    for points in (1, chunk - 1, chunk, chunk + 1, 2001 if n_max < 4096 else 3 * chunk + 2)
+]
+
+
+class TestStreamedTrace:
+    @pytest.mark.parametrize("name", ["jc", "kerr-two-photon"])
+    @pytest.mark.parametrize("n_max, points", _GRIDS)
+    def test_chunks_give_the_whole_grid_bits(self, name, n_max, points):
+        spec = registry_model(name)
+        initial = _both_levels_coherent(0.02 if n_max < 64 else 3.0, n_max)
+        times = np.linspace(0.0, 200.0, points)
+        streamed = np.stack(trace_observables(spec, initial, times))
+        whole = np.stack(observables(*evolve_amplitudes(spec, initial, times)))
+        assert streamed.shape == (4, points)
+        assert np.array_equal(streamed.view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("jc", "population 1.000e+00 in the top 2 Fock level(s)"),
+            ("parity-deformed", "population 9.403e-01 in the top 2 Fock level(s)"),
+        ],
+    )
+    def test_truncation_message_names_the_largest_leak_of_any_chunk(self, name, message):
+        # |e, 62> feeds the guard level |g, 63>: the population passes the
+        # tolerance in the first chunk and peaks in a later one
+        spec, n_max = registry_model(name), 64
+        initial = fock_state("e", 62, n_max)
+        times = np.linspace(0.0, 8.0, 5000)
+        amp_e, amp_g = evolve_amplitudes(spec, initial, times)
+        guard = np.sum(np.abs(amp_e[63:]) ** 2 + np.abs(amp_g[63:]) ** 2, axis=0)
+        first_chunk = guard[: _chunk(n_max)]
+        assert first_chunk.max() > 1e-10
+        assert f"{first_chunk.max():.3e}" != f"{guard.max():.3e}"
+        with pytest.raises(TruncationError) as excinfo:
+            trace_observables(spec, initial, times)
+        assert str(excinfo.value) == f"{message} exceeds 1e-10; raise n_max (suggestion: 128)"
+
+    def test_peak_memory_below_one_amplitude_matrix(self):
+        n_max, points = 1024, 2001
+        initial = coherent_state("g", 3.0, n_max)
+        times = np.linspace(0.0, 200.0, points)
+        tracemalloc.start()
+        try:
+            trace_observables(JC, initial, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_max + 1) * points * np.dtype(np.complex128).itemsize
 
 
 def test_manifolds_cover_truncation():

@@ -349,6 +349,19 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    def test_overflow_after_a_leaking_chunk_exit1(self, tmp_path, capsys):
+        # t*E overflows from t ~ 3 on; the leak of the first time chunk does
+        # not hide the NaN of later ones (exit 1, as over the whole grid)
+        one, zero = {"kind": "One", "params": []}, {"kind": "Zero", "params": []}
+        doc = {"omega": 1.0, "omega0": 1.0, "g": 1e306, "k": 1, "f": one, "F": zero, "G": zero}
+        cfg, out = tmp_path / "model.json", tmp_path / "trace.csv"
+        cfg.write_text(json.dumps(doc))
+        argv = ["evolve", "--config", str(cfg), "--nmax", "4096", "--initial", "fock:e:4096"]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: non-finite result: the model overflows at n_max=4096"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold(self, value, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -401,6 +414,24 @@ class TestErrors:
         assert main(["spectrum", "--config", str(cfg), "--nmax", "8"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: unknown function kind {kind!r}"]
+
+    def test_corrupted_eigenvector_exit1(self, tmp_path, capsys, monkeypatch):
+        # the oracle's eigen-residual check is a refusal, not a traceback
+        eigh = np.linalg.eigh
+
+        def corrupted(mat):
+            vals, vecs = eigh(mat)
+            vecs = vecs.copy()
+            vecs[:, 3] = np.roll(vecs[:, 3], 1)
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        out = tmp_path / "trace.csv"
+        argv = ["evolve", "--model", "jc", "--nmax", "16", "--initial", "coherent:g:1.0"]
+        assert main(argv + ["--engine", "both", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: eigendecomposition residual")
+        assert not out.exists()
 
     def test_bad_initial_descriptor(self):
         assert main(["evolve", "--model", "jc", "--initial", "banana:g:1"]) == 1

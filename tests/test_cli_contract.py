@@ -3,6 +3,7 @@ without an exception; a refusal (1 or 3) prints one stderr line and writes
 nothing; a result (0 or 2) holds only finite numbers."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +49,19 @@ FAULTS = [
     lambda doc: doc.update(f={"kind": "Poly", "params": [0.1] * (MAX_POLY_DEGREE + 2)}),
     lambda doc: doc.update(f={"kind": "PowerN", "params": [200.0]}),
 ]
+
+
+# A fixed in-domain document whose parameter counts are fixed by its kinds,
+# so that every fault above turns it into a refusal.
+DOCUMENT = {
+    "omega": 1.0,
+    "omega0": 1.0,
+    "g": 0.1,
+    "k": 1,
+    "f": {"kind": "PowerN", "params": [0.5]},
+    "F": {"kind": "AlgebraicSqrt", "params": [0.5, 2.0, 1.0]},
+    "G": {"kind": "Kerr", "params": [0.01]},
+}
 
 
 @st.composite
@@ -127,6 +142,34 @@ def _assert_finite_csv(text, labels):
     rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
     values = np.array([row[labels:] for row in rows[1:]], dtype=float)
     assert np.isfinite(values).all()
+
+
+def _run_document(command, doc, tmp_path, capsys):
+    cfg, out = tmp_path / "model.json", tmp_path / "result.out"
+    cfg.write_text(json.dumps(doc))
+    code = main([command, "--config", str(cfg), "--nmax", "64", "--out", str(out)])
+    return code, capsys.readouterr(), out
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "verify"])
+def test_document_without_a_fault_runs(command, tmp_path, capsys):
+    code, _, out = _run_document(command, DOCUMENT, tmp_path, capsys)
+    assert code == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("fault", range(len(FAULTS)))
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "verify"])
+def test_every_fault_is_refused(command, fault, tmp_path, capsys):
+    # the derandomized property test below draws only some FAULTS entries
+    doc = copy.deepcopy(DOCUMENT)
+    FAULTS[fault](doc)
+    code, captured, out = _run_document(command, doc, tmp_path, capsys)
+    assert code == 1
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

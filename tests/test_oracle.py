@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gjc import oracle
 from gjc.errors import ConfigError, TruncationError
 from gjc.model import registry, registry_model
 from gjc.oracle import HamiltonianMatrix, assemble, e_index, g_index, propagate, spectrum
@@ -97,6 +98,18 @@ class TestPropagate:
         with pytest.raises(ValueError, match="n_max"):
             propagate(h, fock_state("g", 0, 8), [0.0])
 
+    def test_norm_drift_rejected(self, monkeypatch):
+        # eigenvectors scaled off unit norm, past the eigen-residual check
+        spectrum_ = oracle.spectrum
+
+        def scaled(h):
+            vals, vecs = spectrum_(h)
+            return vals, 1.001 * vecs
+
+        monkeypatch.setattr(oracle, "spectrum", scaled)
+        with pytest.raises(ConfigError, match="norm drift"):
+            propagate(assemble(JC, 16), coherent_state("g", 1.0, 16), [0.0, 1.0])
+
     def test_norm_preserved(self):
         h = assemble(registry_model("molecular"), 64)
         initial = coherent_state("g", 3.0, 64)
@@ -163,7 +176,7 @@ class TestSpectrum:
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", corrupted)
-        with pytest.raises(RuntimeError, match="residual"):
+        with pytest.raises(ConfigError, match="residual"):
             spectrum(assemble(registry_model("q-deformed"), 256))
 
 

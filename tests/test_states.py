@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from gjc.errors import TruncationError
 from gjc.states import (
+    LEAK_TOLERANCE,
     QubitBosonState,
+    check_leak,
     coherent_amplitudes,
     coherent_state,
     fock_state,
+    guard_population,
     observables,
 )
 
@@ -190,6 +193,42 @@ def test_global_phase_invariance(seed, theta):
     )
     for a, b in zip(observables(s.amp_e, s.amp_g), observables(rotated.amp_e, rotated.amp_g)):
         assert a == pytest.approx(b, abs=1e-14)
+
+
+class TestGuardPopulation:
+    @pytest.mark.parametrize("guard", [1, 2, 4, 6, 12, 13])
+    def test_column_slices_give_the_whole_matrix_bits(self, guard):
+        # the largest guard population of any slice of columns equals, bit for
+        # bit, numpy's column sum over a C-contiguous (levels, T) matrix
+        rng = np.random.default_rng(guard)
+        amp_e, amp_g = rng.normal(size=(2, 13, 200)) + 1j * rng.normal(size=(2, 13, 200))
+        lo = 12 - min(guard, 12) + 1
+        top = np.concatenate([amp_e[lo:], amp_g[lo:]], axis=0)
+        columns = np.sum(np.abs(top) ** 2, axis=0)
+        whole = guard_population(amp_e, amp_g, guard)
+        assert np.float64(whole).view(np.uint64) == np.max(columns).view(np.uint64)
+        # time-major blocks, transposed, as the streamed analytic trace passes them
+        e_t, g_t = np.ascontiguousarray(amp_e.T), np.ascontiguousarray(amp_g.T)
+        for width in (1, 3, 7):
+            slices = [
+                guard_population(e_t[j : j + width].T, g_t[j : j + width].T, guard)
+                for j in range(0, 200, width)
+            ]
+            assert np.float64(max(slices)).view(np.uint64) == np.float64(whole).view(np.uint64)
+
+    def test_cutoff_zero_has_no_guard(self):
+        amp = np.ones((1, 3), dtype=complex)
+        assert guard_population(amp, amp, 2) == 0.0
+
+    def test_check_leak_message_and_clamped_guard(self):
+        check_leak(LEAK_TOLERANCE, 8, 2)
+        with pytest.raises(TruncationError) as excinfo:
+            check_leak(0.25, 3, 8)
+        assert str(excinfo.value) == (
+            "population 2.500e-01 in the top 3 Fock level(s) exceeds 1e-10; "
+            "raise n_max (suggestion: 6)"
+        )
+        assert excinfo.value.suggested_n_max == 6
 
 
 class TestInvariants:
