@@ -21,12 +21,13 @@ import numpy as np
 
 from .algebra import ladder_factor
 from .model import ModelSpec
-from .states import QubitBosonState, check_leak, guard_population, observables
+from .states import QubitBosonState, check_leak, stream_observables
 
 # Complex entries of one time-major amplitude block (512 KiB) in
-# trace_observables, which evolves CHUNK_ELEMENTS // (n_max+1) time points
-# at a time.  On a 2-core Xeon VM (2 MiB L2 per core) 2^15 ran the 2001-point
-# n_max 384 evolve as fast as 2^16 and 2^14, at 4 MB less peak RSS than 2^16.
+# trace_observables, which evolves at most CHUNK_ELEMENTS // (n_max+1) time
+# points at a time.  On a 2-core Xeon VM (2 MiB L2 per core) 2^15 ran the
+# 2001-point n_max 384 evolve as fast as 2^16 and 2^14, at 4 MB less peak RSS
+# than 2^16.
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -184,16 +185,17 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
 
     The manifold table, the diagonal energies, the dressed pairs and the
     projections of ``initial`` onto them are computed here, once, along
-    with work arrays for ``columns`` time points.  The returned function
-    maps a 1-D array of times to time-major amplitude blocks (amp_e, amp_g)
-    of shape (len(times), n_max+1): views of those work arrays, which the
-    next call overwrites.  Each manifold's dressed components advance by
-    exp(-i E_+- t) and are mapped back; dark ground levels and excited
-    levels whose partner lies beyond the cutoff advance by their diagonal
-    phase (exactly what the truncated Hamiltonian does to them).  Every
-    entry is an elementwise function of its own time, so a slice of the
-    grid gives the bits of the whole grid.  Reusing the work arrays keeps a
-    streamed grid from allocating, and faulting in, fresh pages per chunk.
+    with time-major work arrays for ``columns`` time points.  The returned
+    function maps a 1-D array of times to amplitude matrices (amp_e, amp_g)
+    of shape (n_max+1, len(times)): transposed views of those work arrays,
+    which the next call overwrites.  Each manifold's dressed components
+    advance by exp(-i E_+- t) and are mapped back; dark ground levels and
+    excited levels whose partner lies beyond the cutoff advance by their
+    diagonal phase (exactly what the truncated Hamiltonian does to them).
+    Every entry is an elementwise function of its own time, so a slice of
+    the grid gives the bits of the whole grid.  Reusing the work arrays
+    keeps a streamed grid from allocating, and faulting in, fresh pages per
+    chunk.
     """
     n_max, k = initial.n_max, spec.k
     model_table = spec.validate_range(n_max)
@@ -230,17 +232,16 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
         amp_g[:, k:] = np.add(lhs, np.multiply(cos_h, adv_minus, out=rhs), out=lhs)
         amp_g[:, dark] = initial.amp_g[dark] * np.exp(-1j * np.outer(times, diag_g[dark]))
         amp_e[:, top] = initial.amp_e[top] * np.exp(-1j * np.outer(times, diag_e[top]))
-        return amp_e, amp_g
+        return amp_e.T, amp_g.T
 
     return amplitudes
 
 
 def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
     """Amplitude matrices (amp_e, amp_g) of shape (n_max+1, len(times)): the
-    amplitude kernel over the whole grid, transposed (a view, no copy)."""
+    amplitude kernel over the whole grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    amp_e, amp_g = _amplitude_kernel(spec, initial, times.size)(times)
-    return amp_e.T, amp_g.T
+    return _amplitude_kernel(spec, initial, times.size)(times)
 
 
 def evolve(spec: ModelSpec, initial: QubitBosonState, times):
@@ -280,23 +281,18 @@ def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     """Evolve, then record (<sigma_z>, <n>, <x>, <y>) on the time grid, one
     array per observable as ``states.observables`` gives them.
 
-    The grid is streamed: each chunk of CHUNK_ELEMENTS // (n_max+1) time
-    points (at least one) is evolved, leak-checked and reduced to its
-    observables before the next, so memory does not grow with the grid or
-    the cutoff.  Raises TruncationError if the top 2k Fock levels ever hold
-    more population than the leak tolerance, exactly as the oracle does;
-    the message names the largest population over the whole grid.
+    The grid is streamed (``states.stream_observables``): each block of at
+    most CHUNK_ELEMENTS // (n_max+1) time points (at least one) is evolved,
+    leak-checked and reduced to its observables before the next, so memory
+    does not grow with the grid or the cutoff.  Raises TruncationError if
+    the top 2k Fock levels ever hold more population than the leak
+    tolerance, exactly as the oracle does; the message names the largest
+    population over the whole grid.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     guard = 2 * spec.k
-    step = max(1, CHUNK_ELEMENTS // (initial.n_max + 1))
-    amplitudes = _amplitude_kernel(spec, initial, min(step, times.size))
-    trace = np.empty((4, times.size))
-    leaks = []
-    for start in range(0, times.size, step):
-        amp_e, amp_g = (block.T for block in amplitudes(times[start : start + step]))
-        leaks.append(guard_population(amp_e, amp_g, guard))
-        trace[:, start : start + step] = observables(amp_e, amp_g)
-    # np.max, unlike max(), keeps a NaN population (an overflowed model).
-    check_leak(float(np.max(leaks, initial=0.0)), initial.n_max, guard)
-    return tuple(trace)
+    width = max(1, CHUNK_ELEMENTS // (initial.n_max + 1))
+    amplitudes = _amplitude_kernel(spec, initial, min(width, times.size))
+    trace, leak = stream_observables(amplitudes, times, width, guard)
+    check_leak(leak, initial.n_max, guard)
+    return trace

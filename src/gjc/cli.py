@@ -25,7 +25,7 @@ from . import analytic, oracle
 from .algebra import verify_relations
 from .errors import ConfigError, TruncationError
 from .model import DEFAULT_N_MAX, load_model, registry, registry_model
-from .states import QubitBosonState, coherent_state, fock_state, observables
+from .states import QubitBosonState, coherent_state, fock_state
 
 FORMAT_VERSION = "gjc-csv-1"
 
@@ -203,7 +203,7 @@ def cmd_evolve(args) -> int:
         data = analytic.trace_observables(spec, initial, times)
     if args.engine in ("oracle", "both"):
         h = oracle.assemble(spec, args.n_max)
-        oracle_data = observables(*oracle.propagate(h, initial, times))
+        oracle_data = oracle.trace_observables(h, initial, times)
         if args.engine == "oracle":
             data = oracle_data
     if args.engine == "both":

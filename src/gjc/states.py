@@ -170,6 +170,29 @@ def check_leak(leak: float, n_max: int, guard: int) -> None:
         )
 
 
+def stream_observables(amplitudes, times, width: int, guard: int):
+    """Observables of ``amplitudes`` over the 1-D grid ``times``, block by block.
+
+    ``amplitudes`` maps a slice of ``times`` to amplitude matrices of shape
+    (n_max+1, len(slice)).  The grid is split evenly into the fewest blocks
+    of at most ``width`` time points, so no block has a single column unless
+    the grid has; each block is reduced to its largest guard population and
+    its observables before the next is made.  Returns the four observable
+    arrays, as ``observables`` gives them for the whole grid, and the
+    largest guard population (NaN if any block's is; 0.0 for an empty grid).
+    """
+    n_blocks = -(-times.size // width)
+    bounds = [times.size * i // max(n_blocks, 1) for i in range(n_blocks + 1)]
+    trace = np.empty((4, times.size))
+    leaks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        amp_e, amp_g = amplitudes(times[lo:hi])
+        leaks.append(guard_population(amp_e, amp_g, guard))
+        trace[:, lo:hi] = observables(amp_e, amp_g)
+    # np.max, unlike max(), keeps a NaN population (an overflowed model).
+    return tuple(trace), float(np.max(leaks, initial=0.0))
+
+
 def observables(amp_e, amp_g):
     """(<sigma_z>, <n>, <x>, <y>) of a normalized state.
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from gjc import oracle
 from gjc.cli import main, parse_initial
 from gjc.errors import ConfigError
 from gjc.model import NonlinearFn, registry, registry_model
@@ -431,6 +432,32 @@ class TestErrors:
         assert main(argv + ["--engine", "both", "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: eigendecomposition residual")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nmax", "16", "--initial", "coherent:g:1.0", "--engine", "both"],
+            # the drift is reported before this start's leak (exit 1, not 3)
+            ["--nmax", "64", "--initial", "fock:e:62", "--tmax", "8", "--points", "5000",
+             "--engine", "oracle"],
+        ],
+        ids=["both", "oracle-leaking"],
+    )
+    def test_norm_drift_exit1(self, argv, tmp_path, capsys, monkeypatch):
+        # eigenvalues with an imaginary part of 1e-12: the norm grows with t
+        # and drifts past 1e-12 after the first block of time points
+        spectrum = oracle.spectrum
+
+        def growing(h):
+            vals, vecs = spectrum(h)
+            return vals + 1e-12j, vecs
+
+        monkeypatch.setattr(oracle, "spectrum", growing)
+        out = tmp_path / "trace.csv"
+        assert main(["evolve", "--model", "jc", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: propagation norm drift")
         assert not out.exists()
 
     def test_bad_initial_descriptor(self):

@@ -1,13 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gjc import oracle
+from gjc.analytic import trace_observables as analytic_trace
 from gjc.errors import ConfigError, TruncationError
 from gjc.model import registry, registry_model
-from gjc.oracle import HamiltonianMatrix, assemble, e_index, g_index, propagate, spectrum
-from gjc.states import coherent_state, fock_state
+from gjc.oracle import (
+    BLOCK_COLUMNS,
+    HamiltonianMatrix,
+    assemble,
+    basis_dim,
+    e_index,
+    g_index,
+    propagate,
+    spectrum,
+)
+from gjc.states import (
+    QubitBosonState,
+    coherent_amplitudes,
+    coherent_state,
+    fock_state,
+    observables,
+)
 
 JC = registry_model("jc")
 
@@ -117,6 +134,97 @@ class TestPropagate:
         norms = np.sum(np.abs(amp_e) ** 2, axis=0) + np.sum(np.abs(amp_g) ** 2, axis=0)
         for norm_squared in norms:
             assert abs(norm_squared + initial.tail_mass - 1.0) < 1e-12
+
+
+def _both_levels_coherent(alpha, n_max):
+    """0.6|e, alpha> + 0.8i|g, alpha>: both qubit rows populated."""
+    coeffs, tail = coherent_amplitudes(alpha, n_max)
+    return QubitBosonState(n_max=n_max, amp_e=0.6 * coeffs, amp_g=0.8j * coeffs, tail_mass=tail)
+
+
+def _first_block(points):
+    """Time points in the first block of oracle.trace_observables."""
+    return points // -(-points // BLOCK_COLUMNS)
+
+
+class TestStreamedTrace:
+    @pytest.mark.parametrize("name", ["jc", "kerr-two-photon"])
+    @pytest.mark.parametrize("n_max", [8, 64, 384, 1024])
+    def test_blocks_give_the_whole_grid_bits(self, name, n_max, monkeypatch):
+        # One point, a block minus one, one block, one block plus one, two
+        # blocks plus one (which a fixed-width split would end with a
+        # single column) and the 2001-point default grid.  eigh runs once
+        # per matrix (seconds at n_max 1024); both sides propagate its result.
+        h = assemble(registry_model(name), n_max)
+        eigen = spectrum(h)
+        monkeypatch.setattr(oracle, "spectrum", lambda _: eigen)
+        initial = _both_levels_coherent(0.02 if n_max < 64 else 3.0, n_max)
+        b = BLOCK_COLUMNS
+        for points in (1, b - 1, b, b + 1, 2 * b + 1, 2001):
+            times = np.linspace(0.0, 200.0, points)
+            streamed = np.stack(oracle.trace_observables(h, initial, times))
+            whole = np.stack(observables(*propagate(h, initial, times)))
+            assert streamed.shape == (4, points)
+            assert np.array_equal(streamed.view(np.uint64), whole.view(np.uint64)), points
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("jc", "population 1.000e+00 in the top 2 Fock level(s)"),
+            ("parity-deformed", "population 9.403e-01 in the top 2 Fock level(s)"),
+        ],
+    )
+    def test_truncation_message_names_the_largest_leak_of_any_block(self, name, message):
+        # |e, 62> feeds the guard level |g, 63>: the population passes the
+        # tolerance in the first block and peaks in a later one
+        h, n_max = assemble(registry_model(name), 64), 64
+        initial = fock_state("e", 62, n_max)
+        times = np.linspace(0.0, 8.0, 5000)
+        amp_e, amp_g = oracle._propagator(h, initial)[0](times)
+        guard = np.sum(np.abs(amp_e[63:]) ** 2 + np.abs(amp_g[63:]) ** 2, axis=0)
+        first_block = guard[: _first_block(times.size)]
+        assert first_block.max() > 1e-10
+        assert f"{first_block.max():.3e}" != f"{guard.max():.3e}"
+        with pytest.raises(TruncationError) as excinfo:
+            oracle.trace_observables(h, initial, times)
+        assert str(excinfo.value) == f"{message} exceeds 1e-10; raise n_max (suggestion: 128)"
+
+    def test_norm_drift_is_checked_over_the_whole_grid_before_the_leak(self, monkeypatch):
+        # eigenvalues with an imaginary part of 1e-12: the norm drifts by
+        # about 2e-12 * t, past the tolerance only after the first block,
+        # while the start leaks from the first block on
+        def growing(h):
+            vals, vecs = spectrum(h)
+            return vals + 1e-12j, vecs
+
+        monkeypatch.setattr(oracle, "spectrum", growing)
+        h, initial = assemble(JC, 64), fock_state("e", 62, 64)
+        times = np.linspace(0.0, 8.0, 5000)
+        with pytest.raises(TruncationError):
+            propagate(h, initial, times[: _first_block(times.size)])
+        with pytest.raises(ConfigError, match="norm drift") as whole:
+            propagate(h, initial, times)
+        with pytest.raises(ConfigError) as streamed:
+            oracle.trace_observables(h, initial, times)
+        assert str(streamed.value) == str(whole.value)
+
+    def test_empty_grid_gives_empty_arrays(self):
+        # no blocks: four empty arrays, no drift and no leak
+        h, initial = assemble(JC, 8), fock_state("g", 0, 8)
+        for trace in (oracle.trace_observables(h, initial, []), analytic_trace(JC, initial, [])):
+            assert [a.shape for a in trace] == [(0,)] * 4
+
+    def test_peak_memory_below_one_amplitude_matrix(self):
+        n_max, points = 256, 20001
+        h, initial = assemble(JC, n_max), coherent_state("g", 3.0, n_max)
+        times = np.linspace(0.0, 200.0, points)
+        tracemalloc.start()
+        try:
+            oracle.trace_observables(h, initial, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < basis_dim(n_max) * points * np.dtype(np.complex128).itemsize
 
 
 class TestSpectrum:
