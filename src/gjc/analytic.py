@@ -31,6 +31,11 @@ from .states import QubitBosonState, check_leak, stream_observables
 CHUNK_ELEMENTS = 1 << 15
 
 
+def _shifts(k: int, f_lo, g_lo, f_hi, g_hi):
+    """(center, split) from F and G at the lower and upper partners (see aux_two_point)."""
+    return 0.5 * (g_lo + f_lo + g_hi - f_hi), (g_lo + f_lo - g_hi + f_hi) / k
+
+
 def aux_two_point(spec: ModelSpec, n_total: float):
     """Center and splitting shifts of a manifold from the diagonal nonlinearities.
 
@@ -48,11 +53,7 @@ def aux_two_point(spec: ModelSpec, n_total: float):
     hi = n_total + k / 2.0
     if lo < 0:
         raise ValueError(f"total excitation {n_total} has no lower partner (k={k})")
-    g_lo, f_lo = spec.G(lo), spec.F(lo)
-    g_hi, f_hi = spec.G(hi), spec.F(hi)
-    center = 0.5 * (g_lo + f_lo + g_hi - f_hi)
-    split = (g_lo + f_lo - g_hi + f_hi) / k
-    return center, split
+    return _shifts(k, spec.F(lo), spec.G(lo), spec.F(hi), spec.G(hi))
 
 
 def aux_binomial(spec: ModelSpec, n_total: float):
@@ -129,8 +130,7 @@ def manifolds(spec: ModelSpec, model_table) -> Manifolds:
     f, F, G = model_table
     nb = max(f.size - k, 0)
     # Lower partners n are F[:nb], G[:nb]; upper partners n + k are F[k:], G[k:].
-    center = 0.5 * (G[:nb] + F[:nb] + G[k:] - F[k:])
-    split = (G[:nb] + F[:nb] - G[k:] + F[k:]) / k
+    center, split = _shifts(k, F[:nb], G[:nb], F[k:], G[k:])
     detuning = spec.omega0 / k - spec.omega + split
     coupling = (2.0 * spec.g / k) * ladder_factor(np.arange(nb), k) * f[:nb]
     # math per block: np.hypot/np.arctan2 differ from math in a few ulps.
@@ -212,24 +212,21 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
     # Work arrays for `columns` time points; every call writes every column
     # of both amplitude blocks.
     blocks = np.empty((2, columns, n_max + 1), dtype=np.complex128)
-    pairs = np.empty((4, columns, n_pairs), dtype=np.complex128)
-    phase = np.empty((columns, n_pairs))
+    pairs = np.empty((3, columns, n_pairs), dtype=np.complex128)
 
     def amplitudes(times):
         rows = slice(0, times.size)
         amp_e, amp_g = blocks[:, rows]
-        adv_plus, adv_minus, lhs, rhs = pairs[:, rows]
-        et = phase[rows]
+        adv_plus, adv_minus, rhs = pairs[:, rows]
         for adv, energy, c in ((adv_plus, table.e_plus, c_plus), (adv_minus, table.e_minus, c_minus)):
-            # adv = exp(-i E t) * c, in place
-            np.multiply(times[:, None], energy, out=et)
-            np.multiply(-1j, et, out=adv)
+            # adv = exp(-i E t) * c, in place; t*E is a real product cast to complex
+            np.multiply(times[:, None], energy, out=adv)
+            np.multiply(-1j, adv, out=adv)
             np.exp(adv, out=adv)
             np.multiply(adv, c, out=adv)
-        np.multiply(cos_h, adv_plus, out=lhs)
-        amp_e[:, :n_pairs] = np.subtract(lhs, np.multiply(sin_h, adv_minus, out=rhs), out=lhs)
-        np.multiply(sin_h, adv_plus, out=lhs)
-        amp_g[:, k:] = np.add(lhs, np.multiply(cos_h, adv_minus, out=rhs), out=lhs)
+        pair_e, pair_g = amp_e[:, :n_pairs], amp_g[:, k:]
+        np.subtract(np.multiply(cos_h, adv_plus, out=pair_e), np.multiply(sin_h, adv_minus, out=rhs), out=pair_e)
+        np.add(np.multiply(sin_h, adv_plus, out=pair_g), np.multiply(cos_h, adv_minus, out=rhs), out=pair_g)
         amp_g[:, dark] = initial.amp_g[dark] * np.exp(-1j * np.outer(times, diag_g[dark]))
         amp_e[:, top] = initial.amp_e[top] * np.exp(-1j * np.outer(times, diag_e[top]))
         return amp_e.T, amp_g.T

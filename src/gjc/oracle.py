@@ -19,9 +19,8 @@ import numpy as np
 from .algebra import ladder_factor
 from .errors import ConfigError
 from .model import ModelSpec
-from .states import QubitBosonState, check_leak, guard_population, stream_observables
+from .states import _NORM_TOL, QubitBosonState, check_leak, guard_population, stream_observables
 
-_NORM_TOL = 1e-12
 _EIG_RESIDUAL_TOL = 1e-10
 
 # Time points per block in trace_observables.  The GEMM behind each block

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import ConfigError, TruncationError
 
 EPS_TRUNC = 1e-12
 LEAK_TOLERANCE = 1e-10
@@ -55,7 +55,7 @@ class QubitBosonState:
             raise ValueError(f"tail_mass must be non-negative, got {tail}")
         object.__setattr__(self, "tail_mass", max(tail, 0.0))
         total = self.norm_squared() + self.tail_mass
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:  # a NaN total fails too
             raise ValueError(
                 f"state is not normalized: ||amp||^2 + tail_mass = {total!r}"
             )
@@ -66,7 +66,7 @@ class QubitBosonState:
 
 def _check_qubit(qubit: str) -> str:
     if qubit not in QUBIT_LEVELS:
-        raise ValueError(f"qubit level must be one of {QUBIT_LEVELS}, got {qubit!r}")
+        raise ConfigError(f"qubit level must be one of {QUBIT_LEVELS}, got {qubit!r}")
     return qubit
 
 
@@ -74,7 +74,7 @@ def fock_state(qubit: str, n: int, n_max: int) -> QubitBosonState:
     """|qubit, n> on the truncated space; tail_mass is exactly zero."""
     _check_qubit(qubit)
     if not 0 <= n <= n_max:
-        raise ValueError(f"Fock index n={n} out of range 0..{n_max}")
+        raise ConfigError(f"Fock index n={n} out of range 0..{n_max}")
     amp_e = np.zeros(n_max + 1, dtype=np.complex128)
     amp_g = np.zeros(n_max + 1, dtype=np.complex128)
     (amp_e if qubit == "e" else amp_g)[n] = 1.0
@@ -123,11 +123,15 @@ def _coherent_from_mode(alpha: complex, n_max: int) -> np.ndarray:
 def coherent_state(qubit: str, alpha: complex, n_max: int) -> QubitBosonState:
     """|qubit, alpha> truncated at n_max.
 
-    Raises TruncationError when the discarded Poisson tail exceeds
-    EPS_TRUNC; the suggested retry cutoff covers the mean plus ten
-    standard deviations of the photon-number distribution.
+    Raises ConfigError unless |alpha|^2 is finite, and TruncationError
+    when the discarded Poisson tail exceeds EPS_TRUNC; the suggested retry
+    cutoff covers the mean plus ten standard deviations of the
+    photon-number distribution.
     """
     _check_qubit(qubit)
+    radius = math.hypot(alpha.real, alpha.imag)  # abs() raises past the double range
+    if not math.isfinite(radius * radius):
+        raise ConfigError(f"|alpha|^2 must be finite, got alpha={alpha!r}")
     coeffs, tail = coherent_amplitudes(alpha, n_max)
     if tail > EPS_TRUNC:
         mean = abs(alpha) ** 2

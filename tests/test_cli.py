@@ -460,6 +460,48 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: propagation norm drift")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--model", "jc", "--points", "abc"],
+            ["evolve", "--model", "jc", "--engine", "gpu"],
+            ["evolve", "--model", "jc", "--nmax", "1.5"],
+            ["simulate", "--model", "jc"],
+            [],
+            ["spectrum", "--model", "jc", "--config", "model.json"],
+            ["evolve", "--model", "jc", "--config", "model.json"],
+        ],
+        ids=["points-abc", "engine-gpu", "nmax-float", "unknown-command", "no-command",
+             "model-and-config-spectrum", "model-and-config-evolve"],
+    )
+    def test_malformed_command_line_exit1(self, argv, tmp_path, capsys, monkeypatch):
+        # the parser refuses through the one ConfigError path: one line, exit 1
+        zero = {"kind": "Zero", "params": []}
+        doc = {"omega": 1.0, "omega0": 1.0, "g": 0.1, "k": 1, "f": zero, "F": zero, "G": zero}
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "result.out"
+        assert main([*argv, "--out", str(out)] if argv else argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_verify_nmax_below_k_exit1(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--model", "jc", "--nmax", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == ["error: --nmax 0 must be >= k=1"]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evolve", "--help"])
+        assert excinfo.value.code == 0
+        assert "--initial" in capsys.readouterr().out
+
     def test_bad_initial_descriptor(self):
         assert main(["evolve", "--model", "jc", "--initial", "banana:g:1"]) == 1
         assert main(["evolve", "--model", "jc", "--initial", "fock:e"]) == 1

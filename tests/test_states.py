@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjc.errors import TruncationError
+from gjc.errors import ConfigError, TruncationError
 from gjc.states import (
     LEAK_TOLERANCE,
     QubitBosonState,
@@ -42,11 +42,11 @@ class TestFock:
         assert s.norm_squared() == 1.0
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="Fock index"):
             fock_state("g", 17, 16)
 
     def test_bad_qubit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="qubit level"):
             fock_state("x", 0, 4)
 
 
@@ -55,6 +55,21 @@ class TestCoherent:
         s = coherent_state("g", 0.0, 8)
         assert s.amp_g[0] == 1.0
         assert s.tail_mass == 0.0
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [math.nan, complex(0.0, math.nan), math.inf, -math.inf, 1e200, complex(1.7e308, 1.7e308)],
+        ids=repr,
+    )
+    def test_non_finite_mean_photon_number_refused(self, alpha):
+        # |alpha|^2 is NaN or overflows: a refusal naming alpha, not a NaN
+        # state or a bare OverflowError
+        with pytest.raises(ConfigError, match="alpha"):
+            coherent_state("g", alpha, 8)
+
+    def test_bad_qubit(self):
+        with pytest.raises(ConfigError, match="qubit level"):
+            coherent_state("x", 1.0, 16)
 
     def test_amplitudes_match_series_oracle(self):
         # oracle: term-by-term e^{-|a|^2/2} a^j / sqrt(j!) in extended precision
@@ -237,6 +252,18 @@ class TestInvariants:
         amp[0] = 0.5
         with pytest.raises(ValueError, match="normalized"):
             QubitBosonState(n_max=4, amp_e=amp, amp_g=np.zeros(5))
+
+    def test_nan_amplitude_rejected(self):
+        amp = np.zeros(5, dtype=complex)
+        amp[0], amp[1] = 1.0, math.nan
+        with pytest.raises(ValueError, match="normalized"):
+            QubitBosonState(n_max=4, amp_e=amp, amp_g=np.zeros(5))
+
+    def test_nan_tail_rejected(self):
+        amp = np.zeros(5, dtype=complex)
+        amp[0] = 1.0
+        with pytest.raises(ValueError, match="normalized"):
+            QubitBosonState(n_max=4, amp_e=amp, amp_g=np.zeros(5), tail_mass=math.nan)
 
     def test_negative_tail_rejected(self):
         amp = np.zeros(5, dtype=complex)
