@@ -126,30 +126,31 @@ def verify_relations(spec: ModelSpec, n_max: int, guard: int | None = None) -> d
     def comm(a, bb):
         return a @ bb - bb @ a
 
+    # Formed only when reduced, so one residual stack is alive at a time.
     residual_mats = {
-        "nilpotent_Qdag": q_dag @ q_dag,
-        "nilpotent_Q": q @ q,
-        "commute_Q_H": comm(q, ham),
-        "commute_Qdag_H": comm(q_dag, ham),
-        "commute_N_H": comm(ntot, ham),
-        "commute_B_H": comm(b, ham),
-        "commute_Q_N": comm(q, ntot),
-        "commute_Qdag_N": comm(q_dag, ntot),
-        "commute_H_N": comm(ham, ntot),
-        "commute_B_N": comm(b, ntot),
-        "intertwine_Q_Hf": q @ h_f - h_b @ q,
-        "intertwine_Hf_Qdag": h_f @ q_dag - q_dag @ h_b,
-        "ladder_B_Qdag": comm(b, q_dag) - k * q_dag,
-        "ladder_B_Q": comm(b, q) + k * q,
-        "charge_commutator": comm(q_dag, q) - (2.0 / k) * ham @ b,
-        "aux_X_squared": q_x @ q_x - ham,
-        "aux_Y_squared": q_y @ q_y - ham,
+        "nilpotent_Qdag": lambda: q_dag @ q_dag,
+        "nilpotent_Q": lambda: q @ q,
+        "commute_Q_H": lambda: comm(q, ham),
+        "commute_Qdag_H": lambda: comm(q_dag, ham),
+        "commute_N_H": lambda: comm(ntot, ham),
+        "commute_B_H": lambda: comm(b, ham),
+        "commute_Q_N": lambda: comm(q, ntot),
+        "commute_Qdag_N": lambda: comm(q_dag, ntot),
+        "commute_H_N": lambda: comm(ham, ntot),
+        "commute_B_N": lambda: comm(b, ntot),
+        "intertwine_Q_Hf": lambda: q @ h_f - h_b @ q,
+        "intertwine_Hf_Qdag": lambda: h_f @ q_dag - q_dag @ h_b,
+        "ladder_B_Qdag": lambda: comm(b, q_dag) - k * q_dag,
+        "ladder_B_Q": lambda: comm(b, q) + k * q,
+        "charge_commutator": lambda: comm(q_dag, q) - (2.0 / k) * ham @ b,
+        "aux_X_squared": lambda: q_x @ q_x - ham,
+        "aux_Y_squared": lambda: q_y @ q_y - ham,
     }
 
     levels = _slot_levels(n_max, spec.k)
     interior = (levels >= 0) & (levels <= n_max - guard)
     pairs = interior[:, :, None] & interior[:, None, :]
     return {
-        name: float(np.max(np.abs(mat), where=pairs, initial=0.0))
+        name: float(np.max(np.abs(mat()), where=pairs, initial=0.0))
         for name, mat in residual_mats.items()
     }

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,24 +34,13 @@ EXIT_VERIFY_FAILED = 2
 EXIT_TRUNCATION = 3
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one command, embedded in each output."""
-
-    mode: str
-    model: str | None = None
-    config: str | None = None
-    n_max: int | None = None
-    guard: int | None = None
-    threshold: float | None = None
-    initial: str | None = None
-    t_max: float | None = None
-    points: int | None = None
-    engine: str | None = None
-
-    def to_json(self) -> str:
-        doc = {k: v for k, v in asdict(self).items() if v is not None}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def _manifest(args) -> dict:
+    """Everything needed to reproduce one command, embedded in each output:
+    every option of the parsed command line except --out, and the command
+    as `mode`."""
+    doc = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "out")}
+    doc["mode"] = args.command
+    return doc
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -68,23 +56,27 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(out, manifest: RunManifest, columns: str, table, labels=None) -> None:
+def _write_csv(out, manifest: dict, columns: str, table, labels=None) -> None:
     """Header lines, the column row and one line per row of `table` (after
     its label, if any), written atomically to `out` or else to stdout.
 
-    A non-finite value means the model overflowed at this cutoff; nothing
-    is written then.
+    A non-finite value means the model overflowed at this cutoff, or, in
+    an evolution, the phase t*E at this final time; nothing is written then.
     """
     table = np.asarray(table, dtype=float)
     if not np.isfinite(table).all():
-        raise ConfigError(
-            f"non-finite result: the model overflows at n_max={manifest.n_max}"
-        )
+        n_max = manifest["n_max"]
+        if "t_max" in manifest:
+            cause = f"t*E overflows at --tmax {manifest['t_max']!r} with --nmax {n_max}"
+        else:
+            cause = f"the model overflows at n_max={n_max}"
+        raise ConfigError(f"non-finite result: {cause}")
     row = ",".join(["%.16e"] * table.shape[1])
     lines = [row % tuple(values) for values in table.tolist()]
     if labels is not None:
         lines = [f"{label},{line}" for label, line in zip(labels, lines)]
-    header = [f"# format: {FORMAT_VERSION}", f"# manifest: {manifest.to_json()}", columns]
+    manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    header = [f"# format: {FORMAT_VERSION}", f"# manifest: {manifest_json}", columns]
     text = "\n".join(header + lines) + "\n"
     if out:
         _atomic_write(out, text)
@@ -93,14 +85,14 @@ def _write_csv(out, manifest: RunManifest, columns: str, table, labels=None) -> 
 
 
 def _resolve_model(args):
-    """(spec, name, config) of --model or --config, and the one --nmax >= k check."""
+    """The spec of --model or --config, and the one --nmax >= k check."""
     if args.config is not None:
         spec = load_model(args.config, n_max=args.n_max)
     else:
         spec = registry_model(args.model)
     if args.n_max < spec.k:
         raise ConfigError(f"--nmax {args.n_max} must be >= k={spec.k}")
-    return spec, args.model, args.config
+    return spec
 
 
 def parse_initial(descriptor: str, n_max: int) -> QubitBosonState:
@@ -149,10 +141,7 @@ def cmd_list(_args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec, name, config = _resolve_model(args)
-    manifest = RunManifest(
-        mode="spectrum", model=name, config=config, n_max=args.n_max
-    )
+    spec = _resolve_model(args)
     model_table = spec.validate_range(args.n_max)
     dark = analytic.dark_levels(spec, model_table)
     table = analytic.manifolds(spec, model_table)
@@ -167,28 +156,18 @@ def cmd_spectrum(args) -> int:
     )
     labels = [f"dark,{n}" for n in range(spec.k)]
     labels += [f"manifold,{n}" for n in range(table.beta.size)]
-    _write_csv(args.out, manifest, "kind,n_lower,N,beta,Omega,E_plus,E_minus", rows, labels)
+    _write_csv(args.out, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", rows, labels)
     return EXIT_OK
 
 
 def cmd_evolve(args) -> int:
-    spec, name, config = _resolve_model(args)
+    spec = _resolve_model(args)
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
-    if not math.isfinite(args.tmax):
-        raise ConfigError(f"--tmax must be finite, got {args.tmax!r}")
-    manifest = RunManifest(
-        mode="evolve",
-        model=name,
-        config=config,
-        n_max=args.n_max,
-        initial=args.initial,
-        t_max=args.tmax,
-        points=args.points,
-        engine=args.engine,
-    )
+    if not math.isfinite(args.t_max):
+        raise ConfigError(f"--tmax must be finite, got {args.t_max!r}")
     initial = parse_initial(args.initial, args.n_max)
-    times = np.linspace(0.0, args.tmax, args.points)
+    times = np.linspace(0.0, args.t_max, args.points)
 
     columns = ["t", "sigma_z", "n_mean", "x_mean", "y_mean"]
     if args.engine in ("analytic", "both"):
@@ -201,24 +180,17 @@ def cmd_evolve(args) -> int:
     if args.engine == "both":
         columns += ["resid_sigma_z", "resid_n_mean", "resid_x_mean", "resid_y_mean"]
         data += tuple(np.abs(a - b) for a, b in zip(data, oracle_data))
-    _write_csv(args.out, manifest, ",".join(columns), np.column_stack([times, *data]))
+    _write_csv(args.out, _manifest(args), ",".join(columns), np.column_stack([times, *data]))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    spec, name, config = _resolve_model(args)
-    if not math.isfinite(args.threshold):
-        raise ConfigError(f"--threshold must be finite, got {args.threshold!r}")
-    guard = args.guard if args.guard is not None else 2 * spec.k
-    manifest = RunManifest(
-        mode="verify",
-        model=name,
-        config=config,
-        n_max=args.n_max,
-        guard=guard,
-        threshold=args.threshold,
-    )
-    residuals = verify_relations(spec, args.n_max, guard)
+    spec = _resolve_model(args)
+    if not 0.0 <= args.threshold < math.inf:
+        raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold!r}")
+    if args.guard is None:
+        args.guard = 2 * spec.k
+    residuals = verify_relations(spec, args.n_max, args.guard)
     if not all(map(math.isfinite, residuals.values())):
         raise ConfigError(f"non-finite residual: the model overflows at n_max={args.n_max}")
     worst = max(residuals.values())
@@ -233,7 +205,7 @@ def cmd_verify(args) -> int:
     )
     if args.out:
         report = {
-            "manifest": json.loads(manifest.to_json()),
+            "manifest": _manifest(args),
             "residuals": residuals,
             "threshold": args.threshold,
             "pass": ok,
@@ -284,7 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="coherent:g:3.0",
         help="initial state, 'fock:QUBIT:N' or 'coherent:QUBIT:ALPHA' (default coherent:g:3.0)",
     )
-    p_evo.add_argument("--tmax", type=float, default=200.0, help="final time in 1/omega0")
+    p_evo.add_argument(
+        "--tmax",
+        dest="t_max",
+        metavar="TMAX",
+        type=float,
+        default=200.0,
+        help="final time in 1/omega0",
+    )
     p_evo.add_argument("--points", type=int, default=2001, help="number of grid points")
     p_evo.add_argument(
         "--engine",
@@ -328,6 +307,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OverflowError as exc:
         print(f"error: numerical overflow at this cutoff: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)

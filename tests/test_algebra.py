@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,17 @@ class TestVerifyRelations:
             res = verify_relations(entry.spec, 64)
             worst = max(res.values())
             assert worst <= 1e-10, f"{entry.name}: worst residual {worst:.3e}"
+
+    def test_one_residual_stack_at_a_time(self):
+        # all 17 residual stacks held at once peak near 30 stacks
+        spec, n_max = registry_model("kerr-two-photon"), 100_000
+        tracemalloc.start()
+        try:
+            verify_relations(spec, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * (n_max + spec.k + 1) * 32
 
     def test_guard_validation(self):
         with pytest.raises(ConfigError):

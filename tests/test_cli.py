@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from gjc import oracle
-from gjc.cli import main, parse_initial
+from gjc import cli, oracle
+from gjc.cli import build_parser, main, parse_initial
 from gjc.errors import ConfigError
 from gjc.model import NonlinearFn, registry, registry_model
 
@@ -285,6 +285,58 @@ class TestVerify:
         assert main(["verify", "--model", "jc", "--nmax", "32", "--guard", "6"]) == 0
 
 
+class TestManifest:
+    """The manifest is the parsed command line, and rerunning it alone
+    reproduces the output."""
+
+    @staticmethod
+    def manifest_of(path):
+        text = path.read_text()
+        if text.startswith("{"):
+            return json.loads(text)["manifest"]
+        return json.loads(text.splitlines()[1].removeprefix("# manifest: "))
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["spectrum", "--model", "kerr-two-photon", "--nmax", "12"], "model n_max"),
+            (
+                ["evolve", "--model", "jc", "--nmax", "20", "--initial", "coherent:e:1.5",
+                 "--tmax", "7.25", "--points", "31", "--engine", "both"],
+                "model n_max initial t_max points engine",
+            ),
+            (
+                ["verify", "--model", "q-deformed", "--nmax", "24", "--guard", "5",
+                 "--threshold", "3e-9"],
+                "model n_max guard threshold",
+            ),
+            (["evolve", "--config", "model.json", "--nmax", "10", "--initial", "fock:g:2"],
+             "config n_max initial t_max points engine"),
+        ],
+        ids=["spectrum", "evolve-both", "verify", "config"],
+    )
+    def test_rerun_from_the_manifest(self, argv, keys, tmp_path, capsys, monkeypatch):
+        doc = {**registry_model("kerr-two-photon").to_dict(), "g": 0.3}
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        first, second = tmp_path / "first.out", tmp_path / "second.out"
+        assert main([*argv, "--out", str(first)]) == 0
+        manifest = self.manifest_of(first)
+        parsed = vars(build_parser().parse_args([*argv, "--out", str(first)]))
+        options = {k for k, v in parsed.items() if v is not None} - {"command", "out"}
+        assert set(manifest) == set(keys.split()) | {"mode"}
+        assert manifest == {**{k: parsed[k] for k in options}, "mode": argv[0]}
+
+        rerun = [manifest["mode"]]
+        for key, value in manifest.items():
+            if key != "mode":
+                rerun += ["--" + key.replace("_", ""), str(value)]
+        first_stdout = capsys.readouterr().out
+        assert main([*rerun, "--out", str(second)]) == 0
+        assert capsys.readouterr().out == first_stdout
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestErrors:
     def test_unknown_model_exit1(self, capsys):
         assert main(["spectrum", "--model", "nope"]) == 1
@@ -360,10 +412,18 @@ class TestErrors:
         argv = ["evolve", "--config", str(cfg), "--nmax", "4096", "--initial", "fock:e:4096"]
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: non-finite result: the model overflows at n_max=4096"]
+        assert err == ["error: non-finite result: t*E overflows at --tmax 200.0 with --nmax 4096"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_overflow_of_the_final_time_names_tmax(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        argv = ["evolve", "--model", "jc", "--tmax", "1e308", "--points", "3", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: non-finite result: t*E overflows at --tmax 1e+308 with --nmax 64"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
     def test_non_finite_threshold(self, value, tmp_path, capsys):
         out = tmp_path / "report.json"
         argv = ["verify", "--model", "jc", "--nmax", "16", f"--threshold={value}"]
@@ -371,6 +431,27 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, owner, callee, detail",
+        [
+            (["evolve", "--points", "1000000000"], np, "linspace",
+             "Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+            (["verify"], cli, "verify_relations", ""),
+        ],
+        ids=["evolve", "verify"],
+    )
+    def test_out_of_memory_exit1(self, argv, owner, callee, detail, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(owner, callee, exhausted)
+        out = tmp_path / "result.out"
+        assert main([*argv, "--model", "jc", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: out of memory: {detail or 'allocation failed'}"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
