@@ -23,12 +23,12 @@ from .algebra import ladder_factor
 from .model import ModelSpec
 from .states import QubitBosonState, check_leak, stream_observables
 
-# Complex entries of one time-major amplitude block (512 KiB) in
+# Complex entries of one time-major amplitude block (128 KiB) in
 # trace_observables, which evolves at most CHUNK_ELEMENTS // (n_max+1) time
-# points at a time.  On a 2-core Xeon VM (2 MiB L2 per core) 2^15 ran the
-# 2001-point n_max 384 evolve as fast as 2^16 and 2^14, at 4 MB less peak RSS
-# than 2^16.
-CHUNK_ELEMENTS = 1 << 15
+# points at a time, so that the kernel's five work arrays fit in a 2 MiB L2.
+# On a 2-core Xeon VM (2 MiB L2 per core) 2^13 ran the 2001-point trace at
+# n_max 64 and 384 as fast as 2^15 or faster, for the same bits (BENCH_14.json).
+CHUNK_ELEMENTS = 1 << 13
 
 
 def _shifts(k: int, f_lo, g_lo, f_hi, g_hi):

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -33,6 +35,10 @@ EXIT_CONFIG = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_TRUNCATION = 3
 
+# Rows per text piece of a CSV: the table is formatted and written one
+# block at a time, so the text in memory does not grow with the table.
+CSV_BLOCK_ROWS = 256
+
 
 def _manifest(args) -> dict:
     """Everything needed to reproduce one command, embedded in each output:
@@ -43,12 +49,14 @@ def _manifest(args) -> dict:
     return doc
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces) -> None:
+    """Write the text `pieces` to a temporary file beside `path`, then move
+    it over `path`: a failure at any piece leaves `path` as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gjc-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,12 +64,29 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _csv_rows(table, labels):
+    """The lines of `table` (each after its label, if any) as text pieces of
+    at most CSV_BLOCK_ROWS lines, formatted one piece at a time."""
+    row = ",".join(["%.16e"] * table.shape[1]) + "\n"
+    if labels is not None:
+        row = "%s," + row
+        labels = iter(labels)
+    for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
+        block = table[start : start + CSV_BLOCK_ROWS].tolist()
+        if labels is not None:
+            block_labels = itertools.islice(labels, len(block))
+            block = [[label, *values] for label, values in zip(block_labels, block)]
+        yield (row * len(block)) % tuple(itertools.chain.from_iterable(block))
+
+
 def _write_csv(out, manifest: dict, columns: str, table, labels=None) -> None:
     """Header lines, the column row and one line per row of `table` (after
-    its label, if any), written atomically to `out` or else to stdout.
+    its label from the iterable `labels`, if any), written atomically to
+    `out` or else to stdout, CSV_BLOCK_ROWS rows at a time.
 
     A non-finite value means the model overflowed at this cutoff, or, in
-    an evolution, the phase t*E at this final time; nothing is written then.
+    an evolution, the phase t*E at this final time; the whole table is
+    checked first, and nothing is written then.
     """
     table = np.asarray(table, dtype=float)
     if not np.isfinite(table).all():
@@ -71,17 +96,13 @@ def _write_csv(out, manifest: dict, columns: str, table, labels=None) -> None:
         else:
             cause = f"the model overflows at n_max={n_max}"
         raise ConfigError(f"non-finite result: {cause}")
-    row = ",".join(["%.16e"] * table.shape[1])
-    lines = [row % tuple(values) for values in table.tolist()]
-    if labels is not None:
-        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
     manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    header = [f"# format: {FORMAT_VERSION}", f"# manifest: {manifest_json}", columns]
-    text = "\n".join(header + lines) + "\n"
+    header = f"# format: {FORMAT_VERSION}\n# manifest: {manifest_json}\n{columns}\n"
+    pieces = itertools.chain([header], _csv_rows(table, labels))
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _resolve_model(args):
@@ -154,8 +175,10 @@ def cmd_spectrum(args) -> int:
             ),
         ]
     )
-    labels = [f"dark,{n}" for n in range(spec.k)]
-    labels += [f"manifold,{n}" for n in range(table.beta.size)]
+    labels = itertools.chain(
+        (f"dark,{n}" for n in range(spec.k)),
+        (f"manifold,{n}" for n in range(table.beta.size)),
+    )
     _write_csv(args.out, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", rows, labels)
     return EXIT_OK
 
@@ -210,12 +233,18 @@ def cmd_verify(args) -> int:
             "threshold": args.threshold,
             "pass": ok,
         }
-        _atomic_write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _atomic_write(args.out, [json.dumps(report, sort_keys=True, indent=2) + "\n"])
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses a malformed command line with ConfigError instead of exiting 2."""
+    """Refuses a malformed command line with ConfigError instead of exiting 2,
+    and reads any word that starts like a negative number (`-1e-3`, `-.5`) as
+    a value, so that the option's own check judges it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ConfigError(message)

@@ -359,8 +359,8 @@ class TestTraceObservables:
         assert excinfo.value.suggested_n_max == 16
 
 
-def _chunk(n_max):
-    return max(1, CHUNK_ELEMENTS // (n_max + 1))
+def _chunk(n_max, elements=CHUNK_ELEMENTS):
+    return max(1, elements // (n_max + 1))
 
 
 def _both_levels_coherent(alpha, n_max):
@@ -370,15 +370,22 @@ def _both_levels_coherent(alpha, n_max):
 
 
 # (n_max, T): one point, a chunk minus one, one chunk, one chunk plus one
-# and the 2001-point default grid, down to a chunk of a few columns; at
-# n_max 4096 the whole-grid reference would need about 1 GB at 2001 points,
-# so that cutoff ends at three chunks and two columns.
-_GRIDS = [
-    (n_max, points)
-    for n_max in (8, 64, 384, 1024, 4096)
-    for chunk in [_chunk(n_max)]
-    for points in (1, chunk - 1, chunk, chunk + 1, 2001 if n_max < 4096 else 3 * chunk + 2)
-]
+# and the 2001-point default grid, down to a chunk of one column.  The same
+# edges of a four-times-larger block give grids of several chunks whose
+# last chunk is full, ragged or a single column.  At n_max 4096 the
+# whole-grid reference would need about 1 GB at 2001 points, so that cutoff
+# ends at three chunks and two columns.  A one-column chunk has no "chunk
+# minus one" grid.
+_GRIDS = sorted(
+    {
+        (n_max, points)
+        for n_max in (8, 64, 384, 1024, 4096)
+        for elements in (CHUNK_ELEMENTS, 4 * CHUNK_ELEMENTS)
+        for chunk in [_chunk(n_max, elements)]
+        for points in (1, chunk - 1, chunk, chunk + 1, 2001 if n_max < 4096 else 3 * chunk + 2)
+        if points >= 1
+    }
+)
 
 
 class TestStreamedTrace:

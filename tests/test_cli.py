@@ -433,6 +433,33 @@ class TestErrors:
         assert len(captured.err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_negative_exponent_tmax_runs(self, tmp_path):
+        # a negative value in exponent notation is a value, not an option
+        runs = {}
+        for value in ("-1e-3", "-0.001"):
+            out = tmp_path / f"trace{value}.csv"
+            argv = ["evolve", "--model", "jc", "--tmax", value, "--points", "2", "--out", str(out)]
+            assert main(argv) == 0
+            runs[value] = out.read_bytes()
+        assert runs["-1e-3"] == runs["-0.001"]
+
+    def test_negative_exponent_threshold_refused(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--model", "jc", "--nmax", "16", "--threshold", "-1e-300"]
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --threshold must be finite and >= 0, got -1e-300"]
+        assert not out.exists()
+
+    def test_negative_exponent_nmax_refused(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["evolve", "--model", "jc", "--nmax", "-1e3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: argument --nmax: invalid int value: '-1e3'"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, owner, callee, detail",
         [
@@ -587,6 +614,83 @@ class TestErrors:
         assert main(["evolve", "--model", "jc", "--initial", "banana:g:1"]) == 1
         assert main(["evolve", "--model", "jc", "--initial", "fock:e"]) == 1
         assert main(["evolve", "--model", "jc", "--initial", "fock:x:1"]) == 1
+
+
+def _one_shot_csv(manifest, columns, table, labels):
+    """The CSV text as one join of every line: the reference for the
+    streamed writer."""
+    row = ",".join(["%.16e"] * table.shape[1])
+    lines = [row % tuple(values) for values in table.tolist()]
+    if labels is not None:
+        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
+    manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    header = [f"# format: {cli.FORMAT_VERSION}", f"# manifest: {manifest_json}", columns]
+    return "\n".join(header + lines) + "\n"
+
+
+class TestStreamedCsv:
+    """_write_csv formats and writes CSV_BLOCK_ROWS rows at a time; its bytes
+    are those of the one-shot join, to a file and to stdout."""
+
+    B = cli.CSV_BLOCK_ROWS
+    MANIFEST = {"mode": "spectrum", "model": "jc", "n_max": 8}
+
+    @staticmethod
+    def _table(rows):
+        rng = np.random.default_rng(rows)
+        scale = 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+        table = rng.standard_normal((rows, 3)) * scale
+        table[::7, 1] = 0.0
+        return table
+
+    @staticmethod
+    def _labels(rows, labelled):
+        # a generator, as cmd_spectrum passes: labels are formed block by block
+        return (f"row,{n}" for n in range(rows)) if labelled else None
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_file_bytes_are_the_one_shot_join(self, rows, labelled, tmp_path):
+        table, out = self._table(rows), tmp_path / "table.csv"
+        cli._write_csv(str(out), self.MANIFEST, "a,b,c", table, self._labels(rows, labelled))
+        expected = _one_shot_csv(self.MANIFEST, "a,b,c", table, self._labels(rows, labelled))
+        assert out.read_bytes() == expected.encode()
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_stdout_text_is_the_one_shot_join(self, rows, labelled, capsys):
+        table = self._table(rows)
+        cli._write_csv(None, self.MANIFEST, "a,b,c", table, self._labels(rows, labelled))
+        expected = _one_shot_csv(self.MANIFEST, "a,b,c", table, self._labels(rows, labelled))
+        assert capsys.readouterr().out == expected
+
+    def test_non_finite_table_writes_nothing(self, tmp_path, capsys):
+        table = self._table(2 * self.B + 1)
+        table[-1, 2] = np.inf
+        out = tmp_path / "table.csv"
+        for target in (str(out), None):
+            with pytest.raises(ConfigError, match="non-finite result"):
+                cli._write_csv(target, self.MANIFEST, "a,b,c", table)
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_mid_stream_keeps_the_target(self, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("previous\n")
+        seen = []
+
+        def labels():
+            # the first block is written before the second block's labels run out
+            yield from (f"row,{n}" for n in range(self.B + 5))
+            seen.extend(p.name for p in tmp_path.glob(".gjc-*.tmp"))
+            raise RuntimeError("label source failed")
+
+        with pytest.raises(RuntimeError, match="label source failed"):
+            cli._write_csv(str(out), self.MANIFEST, "a,b,c", self._table(2 * self.B + 1), labels())
+        assert len(seen) == 1
+        assert out.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestOneEvaluationPerEngine:
