@@ -134,8 +134,8 @@ def manifolds(spec: ModelSpec, model_table) -> Manifolds:
     detuning = spec.omega0 / k - spec.omega + split
     coupling = (2.0 * spec.g / k) * ladder_factor(np.arange(nb), k) * f[:nb]
     # math per block: np.hypot/np.arctan2 differ from math in a few ulps.
-    pairs = zip(detuning.tolist(), coupling.tolist())
-    rabi, beta = np.array([(math.hypot(d, c), math.atan2(c, d)) for d, c in pairs]).reshape(-1, 2).T
+    rabi = np.fromiter(map(math.hypot, detuning, coupling), float, nb)
+    beta = np.fromiter(map(math.atan2, coupling, detuning), float, nb)
     beta[beta < 0.0] += 2.0 * math.pi
     n_total = np.arange(nb) + k / 2.0
     phase_rate = spec.omega * n_total + center
@@ -158,9 +158,9 @@ def dressed_states(table: Manifolds) -> np.ndarray:
     """
     # math per block, as in manifolds: numpy's SIMD cos/sin can round
     # differently on some CPUs, and evolve's CSV bytes depend on these.
-    half = [b / 2.0 for b in table.beta.tolist()]
-    c = np.array([math.cos(h) for h in half])
-    s = np.array([math.sin(h) for h in half])
+    half = table.beta / 2.0
+    c = np.fromiter(map(math.cos, half), float, half.size)
+    s = np.fromiter(map(math.sin, half), float, half.size)
     return np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
 
 

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import re
 import sys
 import tempfile
@@ -51,45 +52,42 @@ def _manifest(args) -> dict:
 
 def _atomic_write(path: str, pieces) -> None:
     """Write the text `pieces` to a temporary file beside `path`, then move
-    it over `path`: a failure at any piece leaves `path` as it was."""
+    it over `path`: a failure at any piece leaves `path` as it was, and a
+    path that cannot be written is refused as --out."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gjc-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.writelines(pieces)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gjc-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                fh.writelines(pieces)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
-def _csv_rows(table, labels):
-    """The lines of `table` (each after its label, if any) as text pieces of
-    at most CSV_BLOCK_ROWS lines, formatted one piece at a time."""
-    row = ",".join(["%.16e"] * table.shape[1]) + "\n"
-    if labels is not None:
-        row = "%s," + row
-        labels = iter(labels)
-    for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
-        block = table[start : start + CSV_BLOCK_ROWS].tolist()
-        if labels is not None:
-            block_labels = itertools.islice(labels, len(block))
-            block = [[label, *values] for label, values in zip(block_labels, block)]
-        yield (row * len(block)) % tuple(itertools.chain.from_iterable(block))
+def _csv_rows(sections):
+    """The lines of every (row format, table) section as text pieces of at
+    most CSV_BLOCK_ROWS lines, each one `%` format of a block's values."""
+    for row, table in sections:
+        for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
+            block = table[start : start + CSV_BLOCK_ROWS]
+            yield (row * block.shape[0]) % tuple(block.ravel().tolist())
 
 
-def _write_csv(out, manifest: dict, columns: str, table, labels=None) -> None:
-    """Header lines, the column row and one line per row of `table` (after
-    its label from the iterable `labels`, if any), written atomically to
-    `out` or else to stdout, CSV_BLOCK_ROWS rows at a time.
+def _write_csv(out, manifest: dict, columns: str, sections) -> None:
+    """Header lines, the column row and one line per table row of each
+    (row format, table) section, written atomically to `out` or else to
+    stdout, CSV_BLOCK_ROWS rows at a time.
 
     A non-finite value means the model overflowed at this cutoff, or, in
-    an evolution, the phase t*E at this final time; the whole table is
+    an evolution, the phase t*E at this final time; every table is
     checked first, and nothing is written then.
     """
-    table = np.asarray(table, dtype=float)
-    if not np.isfinite(table).all():
+    if not all(np.isfinite(table).all() for _, table in sections):
         n_max = manifest["n_max"]
         if "t_max" in manifest:
             cause = f"t*E overflows at --tmax {manifest['t_max']!r} with --nmax {n_max}"
@@ -98,7 +96,7 @@ def _write_csv(out, manifest: dict, columns: str, table, labels=None) -> None:
         raise ConfigError(f"non-finite result: {cause}")
     manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     header = f"# format: {FORMAT_VERSION}\n# manifest: {manifest_json}\n{columns}\n"
-    pieces = itertools.chain([header], _csv_rows(table, labels))
+    pieces = itertools.chain([header], _csv_rows(sections))
     if out:
         _atomic_write(out, pieces)
     else:
@@ -108,7 +106,7 @@ def _write_csv(out, manifest: dict, columns: str, table, labels=None) -> None:
 def _resolve_model(args):
     """The spec of --model or --config, and the one --nmax >= k check."""
     if args.config is not None:
-        spec = load_model(args.config, n_max=args.n_max)
+        spec = load_model(pathlib.Path(args.config), n_max=args.n_max)
     else:
         spec = registry_model(args.model)
     if args.n_max < spec.k:
@@ -165,21 +163,15 @@ def cmd_spectrum(args) -> int:
     spec = _resolve_model(args)
     model_table = spec.validate_range(args.n_max)
     dark = analytic.dark_levels(spec, model_table)
-    table = analytic.manifolds(spec, model_table)
-    zeros = np.zeros(spec.k)
-    rows = np.vstack(
-        [
-            np.column_stack([np.arange(spec.k) - spec.k / 2.0, zeros, zeros, dark, dark]),
-            np.column_stack(
-                [table.n_total, table.beta, table.rabi_frequency, table.e_plus, table.e_minus]
-            ),
-        ]
+    m = analytic.manifolds(spec, model_table)
+    lower, zeros = np.arange(spec.k), np.zeros(spec.k)
+    dark_rows = np.column_stack([lower, lower - spec.k / 2.0, zeros, zeros, dark, dark])
+    manifold_rows = np.column_stack(
+        [np.arange(m.beta.size), m.n_total, m.beta, m.rabi_frequency, m.e_plus, m.e_minus]
     )
-    labels = itertools.chain(
-        (f"dark,{n}" for n in range(spec.k)),
-        (f"manifold,{n}" for n in range(table.beta.size)),
-    )
-    _write_csv(args.out, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", rows, labels)
+    values = ",%.16e" * 5 + "\n"
+    sections = [("dark,%d" + values, dark_rows), ("manifold,%d" + values, manifold_rows)]
+    _write_csv(args.out, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", sections)
     return EXIT_OK
 
 
@@ -203,7 +195,8 @@ def cmd_evolve(args) -> int:
     if args.engine == "both":
         columns += ["resid_sigma_z", "resid_n_mean", "resid_x_mean", "resid_y_mean"]
         data += tuple(np.abs(a - b) for a, b in zip(data, oracle_data))
-    _write_csv(args.out, _manifest(args), ",".join(columns), np.column_stack([times, *data]))
+    sections = [(",".join(["%.16e"] * len(columns)) + "\n", np.column_stack([times, *data]))]
+    _write_csv(args.out, _manifest(args), ",".join(columns), sections)
     return EXIT_OK
 
 
@@ -331,6 +324,7 @@ def main(argv=None) -> int:
         # residual, rather than as a stream of numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             code = _HANDLERS[args.command](args)
+            sys.stdout.flush()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -343,6 +337,11 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
+    except OSError as exc:
+        # reading --config and writing --out refuse through ConfigError, so
+        # this is a write to stdout: a closed pipe or a full disk
+        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

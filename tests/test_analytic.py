@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjc.algebra import ladder_factor
 from gjc.analytic import (
     CHUNK_ELEMENTS,
     aux_binomial,
@@ -473,3 +474,24 @@ def test_phase_rate_is_two_point_form_for_poly_documents(omega, k, f_coeffs, g_c
         "G": {"kind": "Poly", "params": g_coeffs},
     }
     _assert_phase_rate_is_two_point(load_model(doc, n_max=40), 40)
+
+
+@pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
+def test_angles_are_math_per_block(entry):
+    # the CSV bytes rest on math.hypot/atan2/cos/sin, one block at a time
+    spec, k = entry.spec, entry.spec.k
+    model_table = spec.validate_range(200)
+    m = manifolds(spec, model_table)
+    nb = m.beta.size
+    coupling = (2.0 * spec.g / k) * ladder_factor(np.arange(nb), k) * model_table[0][:nb]
+    rabi, beta = [], []
+    for n, c in enumerate(coupling.tolist()):
+        d = spec.omega0 / k - spec.omega + aux_two_point(spec, n + k / 2.0)[1]
+        b = math.atan2(c, d)
+        rabi.append(math.hypot(d, c))
+        beta.append(b + 2.0 * math.pi if b < 0.0 else b)
+    assert m.rabi_frequency.tobytes() == np.array(rabi).tobytes()
+    assert m.beta.tobytes() == np.array(beta).tobytes()
+    cos_sin = [(math.cos(b / 2.0), math.sin(b / 2.0)) for b in beta]
+    expected = np.array([[[c, s], [-s, c]] for c, s in cos_sin])
+    assert dressed_states(m).tobytes() == expected.tobytes()

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gjc
 from gjc import cli, oracle
 from gjc.cli import build_parser, main, parse_initial
 from gjc.errors import ConfigError
@@ -336,6 +340,14 @@ class TestManifest:
         assert capsys.readouterr().out == first_stdout
         assert second.read_bytes() == first.read_bytes()
 
+    def test_config_path_starting_with_a_brace(self, tmp_path, monkeypatch):
+        # a --config value is always a path, never a JSON text
+        (tmp_path / "{m}.json").write_text(json.dumps(registry_model("jc").to_dict()))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", "{m}.json", "--nmax", "8", "--out", str(out)]) == 0
+        assert self.manifest_of(out)["config"] == "{m}.json"
+
 
 class TestErrors:
     def test_unknown_model_exit1(self, capsys):
@@ -615,79 +627,145 @@ class TestErrors:
         assert main(["evolve", "--model", "jc", "--initial", "fock:e"]) == 1
         assert main(["evolve", "--model", "jc", "--initial", "fock:x:1"]) == 1
 
+    @pytest.mark.parametrize("command", ["spectrum", "evolve", "verify"])
+    def test_out_in_a_missing_directory_exit1(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "result.out"
+        assert main([command, "--model", "jc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write --out {out}: No such file or directory"]
+        assert list(tmp_path.iterdir()) == []
 
-def _one_shot_csv(manifest, columns, table, labels):
-    """The CSV text as one join of every line: the reference for the
-    streamed writer."""
-    row = ",".join(["%.16e"] * table.shape[1])
-    lines = [row % tuple(values) for values in table.tolist()]
-    if labels is not None:
-        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
+    def test_out_is_a_directory_exit1(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "results").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectrum", "--model", "jc", "--nmax", "16", "--out", "results"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: cannot write --out results: Is a directory"]
+        assert [p.name for p in tmp_path.rglob("*")] == ["results"]
+
+    @staticmethod
+    def _gjc(argv, stdout):
+        src = os.path.dirname(os.path.dirname(gjc.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "gjc.cli", *argv]
+        return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    def test_closed_stdout_exit1(self):
+        # the reader goes away after the first line: one line on stderr, no
+        # traceback and no 'Exception ignored' at interpreter shutdown
+        proc = self._gjc(["spectrum", "--model", "jc", "--nmax", "200000"], subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"# format: ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert err.splitlines() == ["error: cannot write to stdout: Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exit1(self):
+        with open("/dev/full", "w") as full:
+            proc = self._gjc(["spectrum", "--model", "jc", "--nmax", "20"], full)
+            err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert err.splitlines() == ["error: cannot write to stdout: No space left on device"]
+
+
+def _row_format(label, table):
+    """The writer's row format of a section: a labelled table's first column
+    is its row number, written after the label."""
+    floats = ",".join(["%.16e"] * (table.shape[1] - (label is not None))) + "\n"
+    return floats if label is None else f"{label},%d," + floats
+
+
+def _one_shot_csv(manifest, columns, sections):
+    """The CSV text as one join of every line, each formatted on its own:
+    the reference for the streamed writer.  A section is (label, table)."""
+    lines = []
+    for label, table in sections:
+        for values in table.tolist():
+            cells = [f"{v:.16e}" for v in values]
+            if label is not None:
+                cells = [label, str(int(values[0]))] + cells[1:]
+            lines.append(",".join(cells))
     manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     header = [f"# format: {cli.FORMAT_VERSION}", f"# manifest: {manifest_json}", columns]
     return "\n".join(header + lines) + "\n"
 
 
 class TestStreamedCsv:
-    """_write_csv formats and writes CSV_BLOCK_ROWS rows at a time; its bytes
-    are those of the one-shot join, to a file and to stdout."""
+    """_write_csv formats and writes CSV_BLOCK_ROWS rows of a (row format,
+    table) section at a time; its bytes are those of the one-shot join, to
+    a file and to stdout."""
 
     B = cli.CSV_BLOCK_ROWS
     MANIFEST = {"mode": "spectrum", "model": "jc", "n_max": 8}
 
     @staticmethod
-    def _table(rows):
-        rng = np.random.default_rng(rows)
+    def _table(rows, labelled=False, seed=0):
+        rng = np.random.default_rng([rows, seed])
         scale = 10.0 ** rng.integers(-300, 300, size=(rows, 3))
         table = rng.standard_normal((rows, 3)) * scale
         table[::7, 1] = 0.0
+        if labelled:
+            table = np.column_stack([np.arange(rows), table])
         return table
 
-    @staticmethod
-    def _labels(rows, labelled):
-        # a generator, as cmd_spectrum passes: labels are formed block by block
-        return (f"row,{n}" for n in range(rows)) if labelled else None
+    def _write(self, out, sections):
+        """_write_csv of (label, table) sections; returns the reference text."""
+        cli._write_csv(out, self.MANIFEST, "a,b,c", [(_row_format(*s), s[1]) for s in sections])
+        return _one_shot_csv(self.MANIFEST, "a,b,c", sections)
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
     def test_file_bytes_are_the_one_shot_join(self, rows, labelled, tmp_path):
-        table, out = self._table(rows), tmp_path / "table.csv"
-        cli._write_csv(str(out), self.MANIFEST, "a,b,c", table, self._labels(rows, labelled))
-        expected = _one_shot_csv(self.MANIFEST, "a,b,c", table, self._labels(rows, labelled))
+        out = tmp_path / "table.csv"
+        expected = self._write(str(out), [("row" if labelled else None, self._table(rows, labelled))])
         assert out.read_bytes() == expected.encode()
         assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
     def test_stdout_text_is_the_one_shot_join(self, rows, labelled, capsys):
-        table = self._table(rows)
-        cli._write_csv(None, self.MANIFEST, "a,b,c", table, self._labels(rows, labelled))
-        expected = _one_shot_csv(self.MANIFEST, "a,b,c", table, self._labels(rows, labelled))
+        expected = self._write(None, [("row" if labelled else None, self._table(rows, labelled))])
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "first, second", [(1, 2 * B + 1), (B - 1, 2), (B, B + 1), (B + 1, B - 1), (0, B), (B + 3, 0)]
+    )
+    def test_two_sections_are_the_one_shot_join(self, first, second, tmp_path, capsys):
+        # as cmd_spectrum writes them: each section starts a block of its own
+        sections = [("dark", self._table(first, True)), ("manifold", self._table(second, True, 1))]
+        out = tmp_path / "table.csv"
+        expected = self._write(str(out), sections)
+        assert out.read_bytes() == expected.encode()
+        self._write(None, sections)
         assert capsys.readouterr().out == expected
 
     def test_non_finite_table_writes_nothing(self, tmp_path, capsys):
-        table = self._table(2 * self.B + 1)
-        table[-1, 2] = np.inf
         out = tmp_path / "table.csv"
-        for target in (str(out), None):
-            with pytest.raises(ConfigError, match="non-finite result"):
-                cli._write_csv(target, self.MANIFEST, "a,b,c", table)
+        for faulty in (0, 1):
+            sections = [("dark", self._table(3, True)), ("manifold", self._table(2 * self.B + 1, True))]
+            sections[faulty][1][-1, 2] = np.inf
+            for target in (str(out), None):
+                with pytest.raises(ConfigError, match="non-finite result"):
+                    self._write(target, sections)
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_failure_mid_stream_keeps_the_target(self, tmp_path):
+    def test_failure_mid_stream_keeps_the_target(self, tmp_path, monkeypatch):
         out = tmp_path / "table.csv"
         out.write_text("previous\n")
         seen = []
+        rows = cli._csv_rows
 
-        def labels():
-            # the first block is written before the second block's labels run out
-            yield from (f"row,{n}" for n in range(self.B + 5))
+        def failing(sections):
+            # the first section is written before the second one fails
+            yield from rows(sections[:1])
             seen.extend(p.name for p in tmp_path.glob(".gjc-*.tmp"))
-            raise RuntimeError("label source failed")
+            raise RuntimeError("row source failed")
 
-        with pytest.raises(RuntimeError, match="label source failed"):
-            cli._write_csv(str(out), self.MANIFEST, "a,b,c", self._table(2 * self.B + 1), labels())
+        monkeypatch.setattr(cli, "_csv_rows", failing)
+        sections = [("dark", self._table(self.B + 5, True)), ("manifold", self._table(3, True))]
+        with pytest.raises(RuntimeError, match="row source failed"):
+            self._write(str(out), sections)
         assert len(seen) == 1
         assert out.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [out]
