@@ -11,8 +11,9 @@ columns may differ in the last bits between BLAS builds or thread counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
-import itertools
 import json
 import math
 import os
@@ -50,23 +51,36 @@ def _manifest(args) -> dict:
     return doc
 
 
-def _atomic_write(path: str, pieces) -> None:
-    """Write the text `pieces` to a temporary file beside `path`, then move
-    it over `path`: a failure at any piece leaves `path` as it was, and a
-    path that cannot be written is refused as --out."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+@contextlib.contextmanager
+def _output(path):
+    """The command's one destination, opened before the work: stdout, or a
+    temporary file beside --out with the mode open(path, "w") would give,
+    moved over --out when the command returns.  An exception removes the
+    file and leaves --out as it was; an OSError of either is one line."""
+    where = f"--out {path}" if path else "to stdout"
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gjc-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
-                fh.writelines(pieces)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+        if path:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            os.umask(umask := os.umask(0))  # the umask is read by setting it
+            mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".gjc-", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", newline="\n") as sink:
+                    os.chmod(tmp, mode)
+                    yield sink
+                os.replace(tmp, path)
+            except BaseException:
                 os.unlink(tmp)
-            raise
+                raise
+            where = "to stdout"  # the flush of verify's table
+        else:
+            yield sys.stdout
+        sys.stdout.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+        # only stdout can be a broken pipe, also while verify prints beside --out
+        where = "to stdout" if isinstance(exc, BrokenPipeError) else where
+        raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _csv_rows(sections):
@@ -78,10 +92,9 @@ def _csv_rows(sections):
             yield (row * block.shape[0]) % tuple(block.ravel().tolist())
 
 
-def _write_csv(out, manifest: dict, columns: str, sections) -> None:
+def _write_csv(sink, manifest: dict, columns: str, sections) -> None:
     """Header lines, the column row and one line per table row of each
-    (row format, table) section, written atomically to `out` or else to
-    stdout, CSV_BLOCK_ROWS rows at a time.
+    (row format, table) section, written to `sink` CSV_BLOCK_ROWS rows at a time.
 
     A non-finite value means the model overflowed at this cutoff, or, in
     an evolution, the phase t*E at this final time; every table is
@@ -96,11 +109,8 @@ def _write_csv(out, manifest: dict, columns: str, sections) -> None:
         raise ConfigError(f"non-finite result: {cause}")
     manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     header = f"# format: {FORMAT_VERSION}\n# manifest: {manifest_json}\n{columns}\n"
-    pieces = itertools.chain([header], _csv_rows(sections))
-    if out:
-        _atomic_write(out, pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    sink.write(header)
+    sink.writelines(_csv_rows(sections))
 
 
 def _resolve_model(args):
@@ -138,7 +148,7 @@ def parse_initial(descriptor: str, n_max: int) -> QubitBosonState:
     raise ConfigError(f"initial state kind must be 'fock' or 'coherent', got {kind!r}")
 
 
-def cmd_list(_args) -> int:
+def cmd_list(_args, sink) -> int:
     rows = [("name", "fig", "k", "g", "f(n)", "F(n)", "G(n)")]
     for entry in registry():
         s = entry.spec
@@ -155,11 +165,11 @@ def cmd_list(_args) -> int:
         )
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip(), file=sink)
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, sink) -> int:
     spec = _resolve_model(args)
     model_table = spec.validate_range(args.n_max)
     dark = analytic.dark_levels(spec, model_table)
@@ -171,11 +181,11 @@ def cmd_spectrum(args) -> int:
     )
     values = ",%.16e" * 5 + "\n"
     sections = [("dark,%d" + values, dark_rows), ("manifold,%d" + values, manifold_rows)]
-    _write_csv(args.out, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", sections)
+    _write_csv(sink, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", sections)
     return EXIT_OK
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args, sink) -> int:
     spec = _resolve_model(args)
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
@@ -196,11 +206,11 @@ def cmd_evolve(args) -> int:
         columns += ["resid_sigma_z", "resid_n_mean", "resid_x_mean", "resid_y_mean"]
         data += tuple(np.abs(a - b) for a, b in zip(data, oracle_data))
     sections = [(",".join(["%.16e"] * len(columns)) + "\n", np.column_stack([times, *data]))]
-    _write_csv(args.out, _manifest(args), ",".join(columns), sections)
+    _write_csv(sink, _manifest(args), ",".join(columns), sections)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, sink) -> int:
     spec = _resolve_model(args)
     if not 0.0 <= args.threshold < math.inf:
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold!r}")
@@ -226,7 +236,7 @@ def cmd_verify(args) -> int:
             "threshold": args.threshold,
             "pass": ok,
         }
-        _atomic_write(args.out, [json.dumps(report, sort_keys=True, indent=2) + "\n"])
+        sink.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -322,9 +332,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # An overflowed value is reported once, as a refused CSV or a failed
         # residual, rather than as a stream of numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = _HANDLERS[args.command](args)
-            sys.stdout.flush()
+        with _output(getattr(args, "out", None)) as sink:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _HANDLERS[args.command](args, sink)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -337,12 +347,6 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except OSError as exc:
-        # reading --config and writing --out refuse through ConfigError, so
-        # this is a write to stdout: a closed pipe or a full disk
-        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return code
 
 
 if __name__ == "__main__":

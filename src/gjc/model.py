@@ -317,20 +317,15 @@ class ModelSpec:
 def load_model(source, n_max: int = DEFAULT_N_MAX) -> ModelSpec:
     """Load and eagerly validate a model document.
 
-    ``source`` may be a dict, a JSON string, or a path to a JSON file.
-    Every invariant, including the n-dependent ones over 0..n_max, is
-    checked before the spec is returned.
+    ``source`` may be a dict or a path to a JSON file.  Every invariant,
+    including the n-dependent ones over 0..n_max, is checked before the
+    spec is returned.
     """
-    if isinstance(source, (str, Path)) and not (
-        isinstance(source, str) and source.lstrip().startswith("{")
-    ):
+    if isinstance(source, (str, Path)):
         try:
-            source = Path(source).read_text()
+            source = json.loads(Path(source).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read model file {source}: {exc}") from exc
-    if isinstance(source, str):
-        try:
-            source = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model document is not valid JSON: {exc}") from exc
     spec = ModelSpec.from_dict(source)

@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ import gjc
 from gjc import cli, oracle
 from gjc.cli import build_parser, main, parse_initial
 from gjc.errors import ConfigError
-from gjc.model import NonlinearFn, registry, registry_model
+from gjc.model import ModelSpec, NonlinearFn, registry, registry_model
 
 
 def read_csv(path):
@@ -267,12 +269,13 @@ class TestVerify:
             assert main(["verify", "--model", entry.name, "--nmax", "64"]) == 0, entry.name
         capsys.readouterr()
 
-    def test_unreachable_threshold_fails(self, capsys):
-        code = main(
-            ["verify", "--model", "q-deformed", "--nmax", "32", "--threshold", "1e-16"]
-        )
-        assert code == 2
+    def test_unreachable_threshold_fails(self, tmp_path, capsys):
+        # exit 2 is a finished run: its report replaces --out
+        out = tmp_path / "report.json"
+        argv = ["verify", "--model", "q-deformed", "--nmax", "32", "--threshold", "1e-16"]
+        assert main([*argv, "--out", str(out)]) == 2
         assert "FAIL" in capsys.readouterr().out
+        assert json.loads(out.read_text())["pass"] is False
 
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -659,6 +662,17 @@ class TestErrors:
         assert proc.wait(timeout=120) == 1
         assert err.splitlines() == ["error: cannot write to stdout: Broken pipe"]
 
+    def test_closed_unbuffered_stdout_beside_out_exit1(self, tmp_path, monkeypatch):
+        # verify prints its table to stdout while its report goes to --out;
+        # unbuffered, the print itself fails inside the command
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        out = tmp_path / "report.json"
+        proc = self._gjc(["verify", "--model", "jc", "--nmax", "8", "--out", str(out)], subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert err.splitlines() == ["error: cannot write to stdout: Broken pipe"]
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_exit1(self):
         with open("/dev/full", "w") as full:
@@ -692,8 +706,8 @@ def _one_shot_csv(manifest, columns, sections):
 
 class TestStreamedCsv:
     """_write_csv formats and writes CSV_BLOCK_ROWS rows of a (row format,
-    table) section at a time; its bytes are those of the one-shot join, to
-    a file and to stdout."""
+    table) section at a time; its bytes are those of the one-shot join, as
+    text and through _output to a file."""
 
     B = cli.CSV_BLOCK_ROWS
     MANIFEST = {"mode": "spectrum", "model": "jc", "n_max": 8}
@@ -708,36 +722,43 @@ class TestStreamedCsv:
             table = np.column_stack([np.arange(rows), table])
         return table
 
-    def _write(self, out, sections):
+    def _write(self, sink, sections):
         """_write_csv of (label, table) sections; returns the reference text."""
-        cli._write_csv(out, self.MANIFEST, "a,b,c", [(_row_format(*s), s[1]) for s in sections])
+        cli._write_csv(sink, self.MANIFEST, "a,b,c", [(_row_format(*s), s[1]) for s in sections])
         return _one_shot_csv(self.MANIFEST, "a,b,c", sections)
+
+    def _write_file(self, out, sections):
+        """_write_csv through _output(out); returns the reference text."""
+        with cli._output(str(out)) as sink:
+            return self._write(sink, sections)
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
     def test_file_bytes_are_the_one_shot_join(self, rows, labelled, tmp_path):
         out = tmp_path / "table.csv"
-        expected = self._write(str(out), [("row" if labelled else None, self._table(rows, labelled))])
+        expected = self._write_file(out, [("row" if labelled else None, self._table(rows, labelled))])
         assert out.read_bytes() == expected.encode()
         assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
-    def test_stdout_text_is_the_one_shot_join(self, rows, labelled, capsys):
-        expected = self._write(None, [("row" if labelled else None, self._table(rows, labelled))])
-        assert capsys.readouterr().out == expected
+    def test_stdout_text_is_the_one_shot_join(self, rows, labelled):
+        sink = io.StringIO()
+        expected = self._write(sink, [("row" if labelled else None, self._table(rows, labelled))])
+        assert sink.getvalue() == expected
 
     @pytest.mark.parametrize(
         "first, second", [(1, 2 * B + 1), (B - 1, 2), (B, B + 1), (B + 1, B - 1), (0, B), (B + 3, 0)]
     )
-    def test_two_sections_are_the_one_shot_join(self, first, second, tmp_path, capsys):
+    def test_two_sections_are_the_one_shot_join(self, first, second, tmp_path):
         # as cmd_spectrum writes them: each section starts a block of its own
         sections = [("dark", self._table(first, True)), ("manifold", self._table(second, True, 1))]
         out = tmp_path / "table.csv"
-        expected = self._write(str(out), sections)
+        expected = self._write_file(out, sections)
         assert out.read_bytes() == expected.encode()
-        self._write(None, sections)
-        assert capsys.readouterr().out == expected
+        sink = io.StringIO()
+        self._write(sink, sections)
+        assert sink.getvalue() == expected
 
     def test_non_finite_table_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -746,7 +767,8 @@ class TestStreamedCsv:
             sections[faulty][1][-1, 2] = np.inf
             for target in (str(out), None):
                 with pytest.raises(ConfigError, match="non-finite result"):
-                    self._write(target, sections)
+                    with cli._output(target) as sink:
+                        self._write(sink, sections)
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -765,10 +787,79 @@ class TestStreamedCsv:
         monkeypatch.setattr(cli, "_csv_rows", failing)
         sections = [("dark", self._table(self.B + 5, True)), ("manifold", self._table(3, True))]
         with pytest.raises(RuntimeError, match="row source failed"):
-            self._write(str(out), sections)
+            self._write_file(out, sections)
         assert len(seen) == 1
         assert out.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [out]
+
+
+class TestOutputOpenedFirst:
+    """--out is opened before the work: a destination that cannot be
+    written is refused before the model is evaluated, a refused run leaves
+    an existing target as it was, and the file gets open(path, "w")'s mode."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def evaluated(*_args):
+            pytest.fail("the model was evaluated before --out was refused")
+
+        monkeypatch.setattr(ModelSpec, "validate_range", evaluated)
+        monkeypatch.setattr(cli, "verify_relations", evaluated)
+
+    @pytest.fixture
+    def umask(self):
+        previous = os.umask(0o022)
+        yield
+        os.umask(previous)
+
+    @pytest.mark.parametrize("command", ["spectrum", "evolve", "verify"])
+    @pytest.mark.parametrize("source", [["--model", "jc"], ["--config", "model.json"]],
+                             ids=["model", "config"])
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("results", "Is a directory"), ("missing/result.out", "No such file or directory")],
+        ids=["directory", "missing-parent"],
+    )
+    def test_refused_before_the_work(self, command, source, where, reason, tmp_path, capsys,
+                                     monkeypatch, no_work):
+        (tmp_path / "results").mkdir()
+        (tmp_path / "model.json").write_text(json.dumps(registry_model("jc").to_dict()))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *source, "--nmax", "1000000", "--out", where]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: cannot write --out {where}: {reason}"]
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["model.json", "results"]
+
+    @pytest.mark.parametrize(
+        "initial", ["coherent:g:3.0", "fock:e:8"], ids=["at-the-start", "during-the-evolution"]
+    )
+    def test_truncation_keeps_the_target(self, initial, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        out.write_bytes(b"previous,bytes\r\n")
+        argv = ["evolve", "--model", "jc", "--nmax", "8", "--initial", initial]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "truncation" in capsys.readouterr().err.lower()
+        assert out.read_bytes() == b"previous,bytes\r\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002, 0o000], ids=oct)
+    def test_new_file_gets_the_open_mode(self, mask, tmp_path, umask):
+        os.umask(mask)
+        out, reference = tmp_path / "x.csv", tmp_path / "reference"
+        open(reference, "w").close()
+        assert main(["spectrum", "--model", "jc", "--nmax", "4", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~mask
+        assert out.stat().st_mode == reference.stat().st_mode
+
+    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o640, 0o664], ids=oct)
+    def test_existing_file_keeps_its_mode(self, mode, tmp_path, umask):
+        out = tmp_path / "x.csv"
+        out.write_text("previous\n")
+        out.chmod(mode)
+        assert main(["spectrum", "--model", "jc", "--nmax", "4", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert out.read_text().startswith("# format: ")
 
 
 class TestOneEvaluationPerEngine:

@@ -154,9 +154,16 @@ class TestLoadModel:
         with pytest.raises(ConfigError, match="unknown"):
             load_model(doc)
 
-    def test_bad_json_text(self):
+    def test_bad_json_text(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
-            load_model("{not json")
+            load_model(path)
+
+    @pytest.mark.parametrize("source", [b"{}", 3, None, ["jc"]], ids=repr)
+    def test_neither_dict_nor_path(self, source):
+        with pytest.raises(ConfigError, match="model document must be an object"):
+            load_model(source)
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -195,11 +202,13 @@ class TestRegistry:
         assert spec.f == NonlinearFn("QBracketSqrt", (0.9,))
         assert spec.omega0 == 1.0  # normalized qubit term convention
 
-    def test_roundtrip_is_lossless(self):
+    def test_roundtrip_is_lossless(self, tmp_path):
         # serialize -> JSON text -> load must be bit-identical
+        path = tmp_path / "model.json"
         for entry in registry():
             text = json.dumps(entry.spec.to_dict())
-            assert load_model(text) == entry.spec
+            path.write_text(text)
+            assert load_model(path) == entry.spec
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown model"):
