@@ -290,6 +290,6 @@ def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     guard = 2 * spec.k
     width = max(1, CHUNK_ELEMENTS // (initial.n_max + 1))
     amplitudes = _amplitude_kernel(spec, initial, min(width, times.size))
-    trace, leak = stream_observables(amplitudes, times, width, guard)
+    trace, _, leak = stream_observables(amplitudes, times, width, guard)
     check_leak(leak, initial.n_max, guard)
     return trace

@@ -53,33 +53,42 @@ def _manifest(args) -> dict:
 
 @contextlib.contextmanager
 def _output(path):
-    """The command's one destination, opened before the work: stdout, or a
-    temporary file beside --out with the mode open(path, "w") would give,
-    moved over --out when the command returns.  An exception removes the
-    file and leaves --out as it was; an OSError of either is one line."""
+    """The command's one destination, opened before the work: stdout, a FIFO
+    or device --out written through, or a temporary file beside --out (or
+    beside its symlink's target) with open(path, "w")'s mode, moved over it
+    when the command returns and removed on an exception.  An OSError of
+    either is one line; a failed stdout is then pointed at os.devnull."""
     where = f"--out {path}" if path else "to stdout"
+    target = os.path.realpath(path) if path and os.path.islink(path) else path
     try:
-        if path:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not path:
+            yield sys.stdout
+        elif os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        elif not os.path.isfile(target) and os.path.exists(target):
+            with open(target, "w", newline="\n") as sink:
+                yield sink
+        else:
             os.umask(umask := os.umask(0))  # the umask is read by setting it
-            mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".gjc-", suffix=".tmp")
+            mode = os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target) or ".", prefix=".gjc-", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", newline="\n") as sink:
                     os.chmod(tmp, mode)
                     yield sink
-                os.replace(tmp, path)
+                os.replace(tmp, target)
             except BaseException:
                 os.unlink(tmp)
                 raise
-            where = "to stdout"  # the flush of verify's table
-        else:
-            yield sys.stdout
+        where = "to stdout"  # the flush of verify's table
         sys.stdout.flush()
     except OSError as exc:
         # only stdout can be a broken pipe, also while verify prints beside --out
         where = "to stdout" if isinstance(exc, BrokenPipeError) else where
+        if where == "to stdout":  # so that the exit's flush of its buffer cannot fail again
+            with contextlib.suppress(AttributeError, OSError, ValueError):  # an in-process stdout
+                with open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
         raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 

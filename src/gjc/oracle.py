@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import ladder_factor
 from .errors import ConfigError
 from .model import ModelSpec
-from .states import _NORM_TOL, QubitBosonState, check_leak, guard_population, stream_observables
+from .states import QubitBosonState, check_drift, check_leak, stream_observables
 
 _EIG_RESIDUAL_TOL = 1e-10
 
@@ -108,11 +108,11 @@ def _propagator(h: HamiltonianMatrix, initial: QubitBosonState):
     The spectrum (with its residual check) and the projection of
     ``initial`` onto the eigenvectors are computed here, once.  The
     returned function maps a 1-D array of times to amplitude matrices
-    (amp_e, amp_g) of shape (n_max+1, len(times)) and appends their largest
-    norm drift to the returned list.  The eigenbasis is cast to complex
-    once: ``vecs @ block`` would cast it on every call, for the same bits.
-    BLAS gives a block of two or more columns the bits of the same columns
-    of a wider product, but may round a single column differently.
+    (amp_e, amp_g) of shape (n_max+1, len(times)), which ``states``
+    measures.  The eigenbasis is cast to complex once: ``vecs @ block``
+    would cast it on every call, for the same bits.  BLAS gives a block of
+    two or more columns the bits of the same columns of a wider product,
+    but may round a single column differently.
     """
     if initial.n_max != h.n_max:
         raise ValueError(
@@ -121,38 +121,28 @@ def _propagator(h: HamiltonianMatrix, initial: QubitBosonState):
     vals, vecs = spectrum(h)
     coef = vecs.T @ np.concatenate([initial.amp_e, initial.amp_g])
     basis = vecs.astype(np.complex128)
-    norm_squared = initial.norm_squared()
-    drifts = []
 
     def amplitudes(times):
         columns = basis @ (np.exp(-1j * np.outer(vals, times)) * coef[:, None])
-        drifts.append(np.max(np.abs(np.sum(np.abs(columns) ** 2, axis=0) - norm_squared)))
         return columns[: h.n_max + 1], columns[h.n_max + 1 :]
 
-    return amplitudes, drifts
-
-
-def _check_drift(drifts) -> None:
-    """ConfigError if the largest norm drift exceeds _NORM_TOL (np.max keeps a NaN)."""
-    drift = float(np.max(drifts, initial=0.0))
-    if drift > _NORM_TOL:
-        raise ConfigError(f"propagation norm drift {drift:.3e} exceeds {_NORM_TOL:g}")
+    return amplitudes
 
 
 def propagate(h: HamiltonianMatrix, initial: QubitBosonState, times):
     """Evolve ``initial`` under H: amplitude matrices (amp_e, amp_g) of shape
     (n_max+1, len(times)).
 
-    Expands in the eigenbasis and advances exact phases, verifies norm
-    preservation (ConfigError on drift) and raises TruncationError if the
-    top 2k Fock levels ever hold more population than the leak tolerance.
+    Expands in the eigenbasis, advances exact phases and measures the grid
+    as one block: ConfigError on norm drift, then TruncationError if the top
+    2k Fock levels ever hold more population than the leak tolerance.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    amplitudes, drifts = _propagator(h, initial)
-    amp_e, amp_g = amplitudes(times)
-    _check_drift(drifts)
-    check_leak(guard_population(amp_e, amp_g, 2 * h.k), h.n_max, 2 * h.k)
-    return amp_e, amp_g
+    whole = _propagator(h, initial)(times)
+    _, norms, leak = stream_observables(lambda _: whole, times, max(times.size, 1), 2 * h.k)
+    check_drift(norms, initial.norm_squared())
+    check_leak(leak, h.n_max, 2 * h.k)
+    return whole
 
 
 def trace_observables(h: HamiltonianMatrix, initial: QubitBosonState, times):
@@ -165,8 +155,7 @@ def trace_observables(h: HamiltonianMatrix, initial: QubitBosonState, times):
     eigen-residual, then the norm drift, then the leak.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    amplitudes, drifts = _propagator(h, initial)
-    trace, leak = stream_observables(amplitudes, times, BLOCK_COLUMNS, 2 * h.k)
-    _check_drift(drifts)
+    trace, norms, leak = stream_observables(_propagator(h, initial), times, BLOCK_COLUMNS, 2 * h.k)
+    check_drift(norms, initial.norm_squared())
     check_leak(leak, h.n_max, 2 * h.k)
     return trace

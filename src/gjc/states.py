@@ -147,23 +147,9 @@ def coherent_state(qubit: str, alpha: complex, n_max: int) -> QubitBosonState:
     return QubitBosonState(n_max=n_max, amp_e=zeros, amp_g=coeffs, tail_mass=tail)
 
 
-def guard_population(amp_e, amp_g, guard: int) -> float:
-    """Largest population of the top ``guard`` Fock levels (clamped to n_max)
-    over the columns of amplitude matrices of shape (n_max+1, T).
-
-    The levels are added one after another, the order numpy's column sums
-    take on a C-contiguous matrix of two or more columns, so any slice of
-    the columns gives the bits of the whole matrix.
-    """
-    n_max = amp_e.shape[0] - 1
-    lo = n_max - min(guard, n_max) + 1
-    top = np.concatenate([amp_e[lo:], amp_g[lo:]], axis=0)
-    return float(np.max(np.cumsum(np.abs(top) ** 2, axis=0)[-1])) if top.size else 0.0
-
-
 def check_leak(leak: float, n_max: int, guard: int) -> None:
     """Raise TruncationError if ``leak``, the largest population of the top
-    ``guard`` Fock levels (see guard_population), exceeds LEAK_TOLERANCE."""
+    ``guard`` Fock levels (see stream_observables), exceeds LEAK_TOLERANCE."""
     if leak > LEAK_TOLERANCE:
         guard = min(guard, n_max)
         suggestion = 2 * n_max
@@ -174,50 +160,65 @@ def check_leak(leak: float, n_max: int, guard: int) -> None:
         )
 
 
+def check_drift(norms, norm_squared: float) -> None:
+    """ConfigError if any of ``norms`` differs from ``norm_squared`` by more than _NORM_TOL."""
+    drift = float(np.max(np.abs(norms - norm_squared), initial=0.0))
+    if drift > _NORM_TOL:
+        raise ConfigError(f"propagation norm drift {drift:.3e} exceeds {_NORM_TOL:g}")
+
+
 def stream_observables(amplitudes, times, width: int, guard: int):
     """Observables of ``amplitudes`` over the 1-D grid ``times``, block by block.
 
     ``amplitudes`` maps a slice of ``times`` to amplitude matrices of shape
     (n_max+1, len(slice)).  The grid is split evenly into the fewest blocks
     of at most ``width`` time points, so no block has a single column unless
-    the grid has; each block is reduced to its largest guard population and
-    its observables before the next is made.  Returns the four observable
-    arrays, as ``observables`` gives them for the whole grid, and the
-    largest guard population (NaN if any block's is; 0.0 for an empty grid).
+    the grid has; each block is squared once and reduced before the next is
+    made.  Returns the four observable arrays, as ``observables`` gives them
+    for the whole grid, each column's squared norm, and the largest population
+    of the top ``guard`` Fock levels (NaN if any is; 0.0 for an empty grid).
     """
     n_blocks = -(-times.size // width)
     bounds = [times.size * i // max(n_blocks, 1) for i in range(n_blocks + 1)]
-    trace = np.empty((4, times.size))
-    leaks = []
+    trace, norms, leak = np.empty((4, times.size)), np.empty(times.size), 0.0
     for lo, hi in zip(bounds, bounds[1:]):
-        amp_e, amp_g = amplitudes(times[lo:hi])
-        leaks.append(guard_population(amp_e, amp_g, guard))
-        trace[:, lo:hi] = observables(amp_e, amp_g)
-    # np.max, unlike max(), keeps a NaN population (an overflowed model).
-    return tuple(trace), float(np.max(leaks, initial=0.0))
+        *columns, norms[lo:hi], top = _reduce(*amplitudes(times[lo:hi]), guard)
+        trace[:, lo:hi] = columns
+        leak = np.maximum(leak, np.max(top))  # unlike max(), keeps a NaN (an overflowed model)
+    return tuple(trace), norms, float(leak)
 
 
 def observables(amp_e, amp_g):
-    """(<sigma_z>, <n>, <x>, <y>) of a normalized state.
+    """(<sigma_z>, <n>, <x>, <y>) of a normalized state, from the one reduction
+    that also gives ``stream_observables`` each block's norms and guard levels.
 
     Amplitude vectors of length n_max+1 give four floats; amplitude matrices
     of shape (n_max+1, T) give four arrays of length T, one entry per column.
     Quadratures follow the x = (a^dag + a)/2, y = i(a^dag - a)/2 convention,
     so <x> + i<y> equals the mean boson amplitude <a>.
     """
-    # Rows of a C-contiguous (T, n_max+1) array are summed in the same
-    # pairwise order as a 1-D np.sum, so each column gives the vector's bits.
+    trace = _reduce(amp_e, amp_g, 0)[:4]
+    return tuple(map(float, trace)) if np.ndim(amp_e) == 1 else trace
+
+
+def _reduce(amp_e, amp_g, guard: int):
+    """(<sigma_z>, <n>, <x>, <y>, squared norm, population of the top ``guard``
+    Fock levels) per column, squaring each amplitude once.  Rows of a C-contiguous
+    (T, n_max+1) array sum in a 1-D np.sum's pairwise order, and the top levels
+    one after another (e, then g), so a column has its vector's bits in any slice."""
     e = np.ascontiguousarray(np.transpose(amp_e))
     g = np.ascontiguousarray(np.transpose(amp_g))
     pe = np.abs(e) ** 2
     pg = np.abs(g) ** 2
-    sigma_z = np.sum(pe, axis=-1) - np.sum(pg, axis=-1)
+    sum_e, sum_g = np.sum(pe, axis=-1), np.sum(pg, axis=-1)
     ns = np.arange(e.shape[-1])
     n_mean = np.sum(ns * (pe + pg), axis=-1)
     root = np.sqrt(ns[1:].astype(float))
     a_mean = np.sum(root * np.conj(e[..., :-1]) * e[..., 1:], axis=-1) + np.sum(
         root * np.conj(g[..., :-1]) * g[..., 1:], axis=-1
     )
-    if e.ndim == 1:
-        return float(sigma_z), float(n_mean), float(a_mean.real), float(a_mean.imag)
-    return sigma_z, n_mean, a_mean.real, a_mean.imag
+    top = np.zeros(sum_e.shape)  # a left fold: np.cumsum along the short axis is slower
+    for p in (pe, pg):
+        for level in range(ns.size - min(guard, ns.size - 1), ns.size):
+            top += p[..., level]
+    return sum_e - sum_g, n_mean, a_mean.real, a_mean.imag, sum_e + sum_g, top

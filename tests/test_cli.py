@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -673,6 +674,17 @@ class TestErrors:
         assert proc.wait(timeout=120) == 1
         assert err.splitlines() == ["error: cannot write to stdout: Broken pipe"]
 
+    def test_closed_buffered_stdout_beside_out_exit1(self, tmp_path, monkeypatch):
+        # buffered, verify's table fails only at the final flush; the
+        # interpreter's own flush at exit must not fail (and exit 120) again
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        out = tmp_path / "report.json"
+        with self._gjc(["verify", "--model", "jc", "--nmax", "8", "--out", str(out)], subprocess.PIPE) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        assert err.splitlines() == ["error: cannot write to stdout: Broken pipe"]
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_exit1(self):
         with open("/dev/full", "w") as full:
@@ -860,6 +872,43 @@ class TestOutputOpenedFirst:
         assert main(["spectrum", "--model", "jc", "--nmax", "4", "--out", str(out)]) == 0
         assert stat.S_IMODE(out.stat().st_mode) == mode
         assert out.read_text().startswith("# format: ")
+
+    def test_symlink_stays_a_link_to_the_new_target(self, tmp_path, capsys, umask):
+        # the target lives in another directory: the temporary file goes beside it
+        argv = ["spectrum", "--model", "jc", "--nmax", "4"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        (tmp_path / "data").mkdir()
+        real, link = tmp_path / "data" / "real.csv", tmp_path / "link.csv"
+        real.write_text("previous\n")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        assert main([*argv, "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == expected
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "real.csv"]
+
+    def test_fifo_is_written_through(self, tmp_path, capsys):
+        argv = ["spectrum", "--model", "jc", "--nmax", "4"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        received = []
+
+        def read_fifo():
+            with open(fifo) as reader:
+                received.append(reader.read())
+
+        reader = threading.Thread(target=read_fifo, daemon=True)
+        reader.start()
+        assert main([*argv, "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received == [expected]
+        assert list(tmp_path.iterdir()) == [fifo]
 
 
 class TestOneEvaluationPerEngine:

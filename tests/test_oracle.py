@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gjc import oracle
+from gjc import analytic, oracle
 from gjc.analytic import trace_observables as analytic_trace
 from gjc.errors import ConfigError, TruncationError
 from gjc.model import registry, registry_model
@@ -24,6 +24,7 @@ from gjc.states import (
     coherent_state,
     fock_state,
     observables,
+    stream_observables,
 )
 
 JC = registry_model("jc")
@@ -180,7 +181,7 @@ class TestStreamedTrace:
         h, n_max = assemble(registry_model(name), 64), 64
         initial = fock_state("e", 62, n_max)
         times = np.linspace(0.0, 8.0, 5000)
-        amp_e, amp_g = oracle._propagator(h, initial)[0](times)
+        amp_e, amp_g = oracle._propagator(h, initial)(times)
         guard = np.sum(np.abs(amp_e[63:]) ** 2 + np.abs(amp_g[63:]) ** 2, axis=0)
         first_block = guard[: _first_block(times.size)]
         assert first_block.max() > 1e-10
@@ -207,6 +208,27 @@ class TestStreamedTrace:
         with pytest.raises(ConfigError) as streamed:
             oracle.trace_observables(h, initial, times)
         assert str(streamed.value) == str(whole.value)
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    def test_norms_are_each_columns_squared_norm(self, engine):
+        # the per-column norms stream_observables hands back, against an
+        # exactly rounded sum of every |amplitude|^2 of the column
+        spec, n_max = registry_model("kerr-two-photon"), 64
+        initial = _both_levels_coherent(3.0, n_max)
+        times = np.linspace(0.0, 200.0, 2001)
+        if engine == "analytic":
+            width = analytic.CHUNK_ELEMENTS // (n_max + 1)
+            blocks = analytic._amplitude_kernel(spec, initial, width)
+            amp_e, amp_g = analytic.evolve_amplitudes(spec, initial, times)
+        else:
+            h, width = assemble(spec, n_max), BLOCK_COLUMNS
+            blocks = oracle._propagator(h, initial)
+            amp_e, amp_g = propagate(h, initial, times)
+        _, norms, _ = stream_observables(blocks, times, width, 2 * spec.k)
+        squares = np.abs(np.concatenate([amp_e, amp_g])) ** 2
+        exact = np.array([math.fsum(column) for column in squares.T])
+        assert norms.shape == times.shape
+        assert np.max(np.abs(norms - exact)) <= 1e-15
 
     def test_empty_grid_gives_empty_arrays(self):
         # no blocks: four empty arrays, no drift and no leak

@@ -1,0 +1,120 @@
+"""Check that this tree's `gjc` gives another tree's bytes.
+
+    python3 tools/byte_identity.py PARENT_TREE
+
+Runs every command of one pass of the benchmark's `figures`, `scale` and
+`sweep` workloads (`perfbench/workloads.py` `build_plan`), seeds 1-4,
+in-process through `gjc.cli.main`: once against this tree's `src` and once
+against `PARENT_TREE/src`.  Each tree runs in its own interpreter, in its
+own empty temporary working directory, so the relative paths that outputs
+carry (a `--config` document's, for example) are the same, and at one BLAS
+thread, since the oracle's bytes depend on the thread count.  Every output
+file, stdout, stderr and exit code is compared.  One line is printed per
+difference; the exit code is 1 on any difference and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("figures", "scale", "sweep")
+SEEDS = (1, 2, 3, 4)
+BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run_commands(src: Path, records_file: Path) -> None:
+    """Run every command in the working directory through `gjc.cli.main`
+    imported from `src`, and write one record per command to `records_file`."""
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import gjc.cli
+    import workloads
+
+    if not Path(gjc.cli.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"gjc imported from {gjc.cli.__file__}, not from {src}")
+    records = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for command in workloads.build_plan(workload, seed, f"{workload}-{seed}")["commands"]:
+                argv = [arg.replace("{pass}", "1") for arg in command["argv"]]
+                Path(argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = gjc.cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    except Exception as exc:  # a traceback is an outcome to compare
+                        code = f"{type(exc).__name__}: {exc}"
+                records.append(
+                    {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+                )
+    records_file.write_text(json.dumps(records))
+
+
+def outputs(tree: Path, scratch: Path):
+    """The command records and the output files ({relative path: SHA-256}) of
+    `tree`, run in a fresh interpreter inside `scratch`."""
+    work, records_file = scratch / "work", scratch / "records.json"
+    work.mkdir()
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env.update(BLAS_THREADS)
+    src = tree.resolve() / "src"
+    argv = [sys.executable, str(Path(__file__).resolve()), "--run", str(src), str(records_file)]
+    subprocess.run(argv, cwd=work, env=env, check=True)
+    files = {
+        str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(work.rglob("*"))
+        if path.is_file()
+    }
+    return json.loads(records_file.read_text()), files
+
+
+def differences(parent, change) -> list:
+    """One line per command field and per output file that differs."""
+    (parent_records, parent_files), (records, files) = parent, change
+    lines = []
+    for before, after in zip(parent_records, records):
+        for field in ("exit", "stdout", "stderr"):
+            if before[field] != after[field]:
+                lines.append(f"{field} differs: gjc {' '.join(after['argv'])}")
+    if len(parent_records) != len(records):
+        lines.append(f"command count differs: {len(parent_records)} -> {len(records)}")
+    for name in sorted(parent_files.keys() | files.keys()):
+        if name not in files or name not in parent_files:
+            lines.append(f"only in {'the parent' if name in parent_files else 'this tree'}: {name}")
+        elif parent_files[name] != files[name]:
+            lines.append(f"file differs: {name}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_tree", type=Path, help="checkout to compare against (holds src/gjc)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="byte-identity-") as tmp:
+        (Path(tmp) / "parent").mkdir()
+        (Path(tmp) / "change").mkdir()
+        parent = outputs(args.parent_tree, Path(tmp) / "parent")
+        change = outputs(ROOT, Path(tmp) / "change")
+    lines = differences(parent, change)
+    for line in lines:
+        print(line)
+    print(f"{len(change[0])} commands, {len(change[1])} files: {len(lines)} difference(s)")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run"]:
+        run_commands(Path(sys.argv[2]), Path(sys.argv[3]))
+    else:
+        sys.exit(main())
