@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import ladder_factor
 from .model import ModelSpec
-from .states import QubitBosonState, check_leak, stream_observables
+from .states import QubitBosonState, stream_observables
 
 # Complex entries of one time-major amplitude block (128 KiB) in
 # trace_observables, which evolves at most CHUNK_ELEMENTS // (n_max+1) time
@@ -278,18 +278,11 @@ def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     """Evolve, then record (<sigma_z>, <n>, <x>, <y>) on the time grid, one
     array per observable as ``states.observables`` gives them.
 
-    The grid is streamed (``states.stream_observables``): each block of at
-    most CHUNK_ELEMENTS // (n_max+1) time points (at least one) is evolved,
-    leak-checked and reduced to its observables before the next, so memory
-    does not grow with the grid or the cutoff.  Raises TruncationError if
-    the top 2k Fock levels ever hold more population than the leak
-    tolerance, exactly as the oracle does; the message names the largest
-    population over the whole grid.
+    The grid is streamed and judged by ``states.stream_observables`` in
+    blocks of at most CHUNK_ELEMENTS // (n_max+1) time points (at least
+    one), with the top 2k Fock levels as the leak guard, as in the oracle.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    guard = 2 * spec.k
     width = max(1, CHUNK_ELEMENTS // (initial.n_max + 1))
     amplitudes = _amplitude_kernel(spec, initial, min(width, times.size))
-    trace, _, leak = stream_observables(amplitudes, times, width, guard)
-    check_leak(leak, initial.n_max, guard)
-    return trace
+    return stream_observables(amplitudes, initial, times, width, 2 * spec.k)

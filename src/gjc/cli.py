@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import io
 import json
 import math
 import os
@@ -51,6 +52,17 @@ def _manifest(args) -> dict:
     return doc
 
 
+class _Device(io.FileIO):
+    """A FIFO or device --out, whose broken pipe carries its name: stdout's has none."""
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except BrokenPipeError as exc:
+            exc.filename = self.name
+            raise
+
+
 @contextlib.contextmanager
 def _output(path):
     """The command's one destination, opened before the work: stdout, a FIFO
@@ -66,7 +78,7 @@ def _output(path):
         elif os.path.isdir(target):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         elif not os.path.isfile(target) and os.path.exists(target):
-            with open(target, "w", newline="\n") as sink:
+            with io.TextIOWrapper(io.BufferedWriter(_Device(target, "w")), newline="\n") as sink:
                 yield sink
         else:
             os.umask(umask := os.umask(0))  # the umask is read by setting it
@@ -83,8 +95,9 @@ def _output(path):
         where = "to stdout"  # the flush of verify's table
         sys.stdout.flush()
     except OSError as exc:
-        # only stdout can be a broken pipe, also while verify prints beside --out
-        where = "to stdout" if isinstance(exc, BrokenPipeError) else where
+        # a broken pipe is stdout's, also while verify prints beside --out,
+        # unless _Device named the --out FIFO in it
+        where = "to stdout" if isinstance(exc, BrokenPipeError) and exc.filename is None else where
         if where == "to stdout":  # so that the exit's flush of its buffer cannot fail again
             with contextlib.suppress(AttributeError, OSError, ValueError):  # an in-process stdout
                 with open(os.devnull, "w") as null:

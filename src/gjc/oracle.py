@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import ladder_factor
 from .errors import ConfigError
 from .model import ModelSpec
-from .states import QubitBosonState, check_drift, check_leak, stream_observables
+from .states import QubitBosonState, stream_observables
 
 _EIG_RESIDUAL_TOL = 1e-10
 
@@ -131,17 +131,12 @@ def _propagator(h: HamiltonianMatrix, initial: QubitBosonState):
 
 def propagate(h: HamiltonianMatrix, initial: QubitBosonState, times):
     """Evolve ``initial`` under H: amplitude matrices (amp_e, amp_g) of shape
-    (n_max+1, len(times)).
-
-    Expands in the eigenbasis, advances exact phases and measures the grid
-    as one block: ConfigError on norm drift, then TruncationError if the top
-    2k Fock levels ever hold more population than the leak tolerance.
+    (n_max+1, len(times)), expanded in the eigenbasis with exact phases and
+    judged as one block by ``states.stream_observables``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     whole = _propagator(h, initial)(times)
-    _, norms, leak = stream_observables(lambda _: whole, times, max(times.size, 1), 2 * h.k)
-    check_drift(norms, initial.norm_squared())
-    check_leak(leak, h.n_max, 2 * h.k)
+    stream_observables(lambda _: whole, initial, times, max(times.size, 1), 2 * h.k)
     return whole
 
 
@@ -149,13 +144,9 @@ def trace_observables(h: HamiltonianMatrix, initial: QubitBosonState, times):
     """(<sigma_z>, <n>, <x>, <y>) of ``initial`` evolved under H, one array per
     observable, bit for bit those of ``observables(*propagate(h, initial, times))``.
 
-    The grid is streamed (``states.stream_observables``) in blocks of at
-    most BLOCK_COLUMNS time points, so memory does not grow with the grid.
-    The checks of ``propagate`` run in its order, on the whole grid: the
-    eigen-residual, then the norm drift, then the leak.
+    The grid is streamed and judged by ``states.stream_observables`` in
+    blocks of at most BLOCK_COLUMNS time points, after the eigen-residual
+    check of ``_propagator``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    trace, norms, leak = stream_observables(_propagator(h, initial), times, BLOCK_COLUMNS, 2 * h.k)
-    check_drift(norms, initial.norm_squared())
-    check_leak(leak, h.n_max, 2 * h.k)
-    return trace
+    return stream_observables(_propagator(h, initial), initial, times, BLOCK_COLUMNS, 2 * h.k)

@@ -160,32 +160,34 @@ def check_leak(leak: float, n_max: int, guard: int) -> None:
         )
 
 
-def check_drift(norms, norm_squared: float) -> None:
-    """ConfigError if any of ``norms`` differs from ``norm_squared`` by more than _NORM_TOL."""
-    drift = float(np.max(np.abs(norms - norm_squared), initial=0.0))
-    if drift > _NORM_TOL:
-        raise ConfigError(f"propagation norm drift {drift:.3e} exceeds {_NORM_TOL:g}")
-
-
-def stream_observables(amplitudes, times, width: int, guard: int):
-    """Observables of ``amplitudes`` over the 1-D grid ``times``, block by block.
+def stream_observables(amplitudes, initial: QubitBosonState, times, width: int, guard: int):
+    """Observables of ``amplitudes`` over the 1-D grid ``times``, block by block,
+    judged against ``initial``.
 
     ``amplitudes`` maps a slice of ``times`` to amplitude matrices of shape
     (n_max+1, len(slice)).  The grid is split evenly into the fewest blocks
     of at most ``width`` time points, so no block has a single column unless
     the grid has; each block is squared once and reduced before the next is
     made.  Returns the four observable arrays, as ``observables`` gives them
-    for the whole grid, each column's squared norm, and the largest population
-    of the top ``guard`` Fock levels (NaN if any is; 0.0 for an empty grid).
+    for the whole grid.  After the last block, raises ConfigError if any
+    column's squared norm drifts from ``initial``'s by more than _NORM_TOL,
+    then TruncationError (check_leak) on the largest population of the top
+    ``guard`` Fock levels.  A NaN column passes both and stays in the trace.
     """
     n_blocks = -(-times.size // width)
     bounds = [times.size * i // max(n_blocks, 1) for i in range(n_blocks + 1)]
-    trace, norms, leak = np.empty((4, times.size)), np.empty(times.size), 0.0
+    trace, drift, leak = np.empty((4, times.size)), 0.0, 0.0
+    norm_squared = initial.norm_squared()
     for lo, hi in zip(bounds, bounds[1:]):
-        *columns, norms[lo:hi], top = _reduce(*amplitudes(times[lo:hi]), guard)
+        *columns, norms, top = _reduce(*amplitudes(times[lo:hi]), guard)
         trace[:, lo:hi] = columns
-        leak = np.maximum(leak, np.max(top))  # unlike max(), keeps a NaN (an overflowed model)
-    return tuple(trace), norms, float(leak)
+        # unlike max(), np.maximum keeps a NaN (an overflowed model or phase)
+        drift = np.maximum(drift, np.max(np.abs(norms - norm_squared)))
+        leak = np.maximum(leak, np.max(top))
+    if drift > _NORM_TOL:
+        raise ConfigError(f"propagation norm drift {drift:.3e} exceeds {_NORM_TOL:g}")
+    check_leak(leak, initial.n_max, guard)
+    return tuple(trace)
 
 
 def observables(amp_e, amp_g):

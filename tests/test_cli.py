@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gjc
-from gjc import cli, oracle
+from gjc import analytic, cli, oracle
 from gjc.cli import build_parser, main, parse_initial
 from gjc.errors import ConfigError
 from gjc.model import ModelSpec, NonlinearFn, registry, registry_model
@@ -565,19 +565,24 @@ class TestErrors:
             # the drift is reported before this start's leak (exit 1, not 3)
             ["--nmax", "64", "--initial", "fock:e:62", "--tmax", "8", "--points", "5000",
              "--engine", "oracle"],
+            ["--nmax", "16", "--initial", "coherent:g:1.0"],
         ],
-        ids=["both", "oracle-leaking"],
+        ids=["both", "oracle-leaking", "analytic"],
     )
     def test_norm_drift_exit1(self, argv, tmp_path, capsys, monkeypatch):
-        # eigenvalues with an imaginary part of 1e-12: the norm grows with t
-        # and drifts past 1e-12 after the first block of time points
-        spectrum = oracle.spectrum
+        spectrum, dressed_states = oracle.spectrum, analytic.dressed_states
 
         def growing(h):
             vals, vecs = spectrum(h)
             return vals + 1e-12j, vecs
 
-        monkeypatch.setattr(oracle, "spectrum", growing)
+        if "--engine" in argv:
+            # eigenvalues with an imaginary part of 1e-12: the norm grows with t
+            # and drifts past 1e-12 after the first block of time points
+            monkeypatch.setattr(oracle, "spectrum", growing)
+        else:
+            # the closed-form dressed pairs scaled off unit norm
+            monkeypatch.setattr(analytic, "dressed_states", lambda table: dressed_states(table) * (1 + 1e-9))
         out = tmp_path / "trace.csv"
         assert main(["evolve", "--model", "jc", *argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -908,6 +913,30 @@ class TestOutputOpenedFirst:
         assert not reader.is_alive()
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert received == [expected]
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_fifo_closed_early_names_out(self, tmp_path, capfd, monkeypatch):
+        # the reader leaves after 100 bytes: the broken pipe is the FIFO's,
+        # and stdout, which works, is not pointed at os.devnull
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        received, dup2 = [], []
+        monkeypatch.setattr(os, "dup2", lambda *fds: dup2.append(fds))
+
+        def read_fifo():
+            with open(fifo, "rb") as reader:
+                received.append(reader.read(100))
+
+        reader = threading.Thread(target=read_fifo, daemon=True)
+        reader.start()
+        assert main(["spectrum", "--model", "jc", "--nmax", "100000", "--out", str(fifo)]) == 1
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received[0].startswith(b"# format: ") and len(received[0]) == 100
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [f"error: cannot write --out {fifo}: Broken pipe"]
+        assert captured.out == "" and dup2 == []
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert list(tmp_path.iterdir()) == [fifo]
 
 

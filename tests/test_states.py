@@ -14,8 +14,8 @@ from gjc.states import (
     coherent_amplitudes,
     coherent_state,
     fock_state,
+    _reduce,
     observables,
-    stream_observables,
 )
 
 mp.mp.dps = 40
@@ -220,24 +220,22 @@ class TestGuardPopulation:
         lo = 12 - min(guard, 12) + 1
         top = np.concatenate([amp_e[lo:], amp_g[lo:]], axis=0)
         columns = np.sum(np.abs(top) ** 2, axis=0)
-        times = np.arange(200.0)
-        _, norms, whole = stream_observables(lambda _: (amp_e, amp_g), times, 200, guard)
-        assert np.float64(whole).view(np.uint64) == np.max(columns).view(np.uint64)
+        *_, norms, guard_population = _reduce(amp_e, amp_g, guard)
+        whole = np.max(guard_population)
+        assert whole.view(np.uint64) == np.max(columns).view(np.uint64)
         # time-major blocks, transposed, as the streamed analytic trace passes them
         e_t, g_t = np.ascontiguousarray(amp_e.T), np.ascontiguousarray(amp_g.T)
-
-        def blocks(t):
-            rows = slice(int(t[0]), int(t[-1]) + 1)
-            return e_t[rows].T, g_t[rows].T
-
         for width in (1, 3, 7):
-            _, sliced_norms, sliced = stream_observables(blocks, times, width, guard)
-            assert np.float64(sliced).view(np.uint64) == np.float64(whole).view(np.uint64)
+            slices = [_reduce(e_t[lo : lo + width].T, g_t[lo : lo + width].T, guard)
+                      for lo in range(0, 200, width)]
+            sliced_norms = np.concatenate([s[4] for s in slices])
+            sliced = np.max([np.max(s[5]) for s in slices])
+            assert sliced.view(np.uint64) == whole.view(np.uint64)
             assert np.array_equal(sliced_norms.view(np.uint64), norms.view(np.uint64))
 
     def test_cutoff_zero_has_no_guard(self):
         amp = np.ones((1, 3), dtype=complex)
-        assert stream_observables(lambda _: (amp, amp), np.arange(3.0), 3, 2)[2] == 0.0
+        assert np.array_equal(_reduce(amp, amp, 2)[5], np.zeros(3))
 
     def test_check_leak_message_and_clamped_guard(self):
         check_leak(LEAK_TOLERANCE, 8, 2)
