@@ -15,6 +15,7 @@ provides the independent cross-check.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,11 @@ from .states import QubitBosonState, stream_observables
 
 # Complex entries of one time-major amplitude block (128 KiB) in
 # trace_observables, which evolves at most CHUNK_ELEMENTS // (n_max+1) time
-# points at a time, so that the kernel's five work arrays fit in a 2 MiB L2.
-# On a 2-core Xeon VM (2 MiB L2 per core) 2^13 ran the 2001-point trace at
-# n_max 64 and 384 as fast as 2^15 or faster, for the same bits (BENCH_14.json).
+# points at a time on each worker, so that each worker's five work arrays fit
+# in a 2 MiB L2.  On a 2-core Xeon VM (2 MiB L2 per core) 2^13 ran the
+# 2001-point trace at n_max 64 and 384 as fast as 2^15 or faster, for the
+# same bits (BENCH_14.json).  With two workers 2^15 was faster, but raised
+# the peak RSS of the `scale` and `figures` benchmarks by 17-19% (BENCH_21.json).
 CHUNK_ELEMENTS = 1 << 13
 
 
@@ -179,23 +182,23 @@ def _diagonals(spec: ModelSpec, F, G):
     )
 
 
-def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
-    """The closed-form evolution of ``initial`` as a function of up to
-    ``columns`` times.
+def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int, workers: int = 1):
+    """The closed-form evolution of ``initial`` as ``workers`` functions of up
+    to ``columns`` times each, which may run on separate threads.
 
     The manifold table, the diagonal energies, the dressed pairs and the
-    projections of ``initial`` onto them are computed here, once, along
-    with time-major work arrays for ``columns`` time points.  The returned
-    function maps a 1-D array of times to amplitude matrices (amp_e, amp_g)
+    projections of ``initial`` onto them are computed here, once.  Each
+    returned function owns time-major work arrays for ``columns`` time
+    points and maps a 1-D array of times to amplitude matrices (amp_e, amp_g)
     of shape (n_max+1, len(times)): transposed views of those work arrays,
-    which the next call overwrites.  Each manifold's dressed components
+    which its next call overwrites.  Each manifold's dressed components
     advance by exp(-i E_+- t) and are mapped back; dark ground levels and
     excited levels whose partner lies beyond the cutoff advance by their
     diagonal phase (exactly what the truncated Hamiltonian does to them).
     Every entry is an elementwise function of its own time, so a slice of
-    the grid gives the bits of the whole grid.  Reusing the work arrays
-    keeps a streamed grid from allocating, and faulting in, fresh pages per
-    chunk.
+    the grid gives the bits of the whole grid on any of the functions.
+    Reusing the work arrays keeps a streamed grid from allocating, and
+    faulting in, fresh pages per chunk.
     """
     n_max, k = initial.n_max, spec.k
     model_table = spec.validate_range(n_max)
@@ -209,36 +212,40 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
     c_minus = -sin_h * ce + cos_h * cg
     dark = slice(0, min(k, n_max + 1))
     top = slice(n_pairs, n_max + 1)
-    # Work arrays for `columns` time points; every call writes every column
-    # of both amplitude blocks.
-    blocks = np.empty((2, columns, n_max + 1), dtype=np.complex128)
-    pairs = np.empty((3, columns, n_pairs), dtype=np.complex128)
 
-    def amplitudes(times):
-        rows = slice(0, times.size)
-        amp_e, amp_g = blocks[:, rows]
-        adv_plus, adv_minus, rhs = pairs[:, rows]
-        for adv, energy, c in ((adv_plus, table.e_plus, c_plus), (adv_minus, table.e_minus, c_minus)):
-            # adv = exp(-i E t) * c, in place; t*E is a real product cast to complex
-            np.multiply(times[:, None], energy, out=adv)
-            np.multiply(-1j, adv, out=adv)
-            np.exp(adv, out=adv)
-            np.multiply(adv, c, out=adv)
-        pair_e, pair_g = amp_e[:, :n_pairs], amp_g[:, k:]
-        np.subtract(np.multiply(cos_h, adv_plus, out=pair_e), np.multiply(sin_h, adv_minus, out=rhs), out=pair_e)
-        np.add(np.multiply(sin_h, adv_plus, out=pair_g), np.multiply(cos_h, adv_minus, out=rhs), out=pair_g)
-        amp_g[:, dark] = initial.amp_g[dark] * np.exp(-1j * np.outer(times, diag_g[dark]))
-        amp_e[:, top] = initial.amp_e[top] * np.exp(-1j * np.outer(times, diag_e[top]))
-        return amp_e.T, amp_g.T
+    def block_function():
+        # Work arrays for `columns` time points; every call writes every
+        # column of both amplitude blocks.
+        blocks = np.empty((2, columns, n_max + 1), dtype=np.complex128)
+        pairs = np.empty((3, columns, n_pairs), dtype=np.complex128)
 
-    return amplitudes
+        def amplitudes(times):
+            rows = slice(0, times.size)
+            amp_e, amp_g = blocks[:, rows]
+            adv_plus, adv_minus, rhs = pairs[:, rows]
+            for adv, energy, c in ((adv_plus, table.e_plus, c_plus), (adv_minus, table.e_minus, c_minus)):
+                # adv = exp(-i E t) * c, in place; t*E is a real product cast to complex
+                np.multiply(times[:, None], energy, out=adv)
+                np.multiply(-1j, adv, out=adv)
+                np.exp(adv, out=adv)
+                np.multiply(adv, c, out=adv)
+            pair_e, pair_g = amp_e[:, :n_pairs], amp_g[:, k:]
+            np.subtract(np.multiply(cos_h, adv_plus, out=pair_e), np.multiply(sin_h, adv_minus, out=rhs), out=pair_e)
+            np.add(np.multiply(sin_h, adv_plus, out=pair_g), np.multiply(cos_h, adv_minus, out=rhs), out=pair_g)
+            amp_g[:, dark] = initial.amp_g[dark] * np.exp(-1j * np.outer(times, diag_g[dark]))
+            amp_e[:, top] = initial.amp_e[top] * np.exp(-1j * np.outer(times, diag_e[top]))
+            return amp_e.T, amp_g.T
+
+        return amplitudes
+
+    return [block_function() for _ in range(workers)]
 
 
 def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
     """Amplitude matrices (amp_e, amp_g) of shape (n_max+1, len(times)): the
     amplitude kernel over the whole grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return _amplitude_kernel(spec, initial, times.size)(times)
+    return _amplitude_kernel(spec, initial, times.size)[0](times)
 
 
 def evolve(spec: ModelSpec, initial: QubitBosonState, times):
@@ -274,6 +281,13 @@ def sigma_z_fock(table: Manifolds, t):
     return cos_b**2 + sin_b**2 * np.cos(split * t)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     """Evolve, then record (<sigma_z>, <n>, <x>, <y>) on the time grid, one
     array per observable as ``states.observables`` gives them.
@@ -281,8 +295,11 @@ def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     The grid is streamed and judged by ``states.stream_observables`` in
     blocks of at most CHUNK_ELEMENTS // (n_max+1) time points (at least
     one), with the top 2k Fock levels as the leak guard, as in the oracle.
+    The blocks run on one worker per CPU of the process's affinity mask (at
+    most one per block), for the same bits as on one.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     width = max(1, CHUNK_ELEMENTS // (initial.n_max + 1))
-    amplitudes = _amplitude_kernel(spec, initial, min(width, times.size))
-    return stream_observables(amplitudes, initial, times, width, 2 * spec.k)
+    workers = min(_cpus(), -(-times.size // width))  # no work arrays without a block
+    blocks = _amplitude_kernel(spec, initial, min(width, times.size), workers)
+    return stream_observables(blocks, initial, times, width, 2 * spec.k)

@@ -20,6 +20,7 @@ import math
 import os
 import pathlib
 import re
+import stat
 import sys
 import tempfile
 
@@ -65,25 +66,31 @@ class _Device(io.FileIO):
 
 @contextlib.contextmanager
 def _output(path):
-    """The command's one destination, opened before the work: stdout, a FIFO
-    or device --out written through, or a temporary file beside --out (or
-    beside its symlink's target) with open(path, "w")'s mode, moved over it
-    when the command returns and removed on an exception.  An OSError of
+    """The command's one destination, opened before the work: stdout, or
+    --out by what os.stat finds there, following links.  A directory is
+    refused; any other existing file that is not regular (a pipe, FIFO or
+    device) is written through; a missing or regular target gets a temporary
+    file beside its resolved path with open(path, "w")'s mode, moved over
+    it when the command returns and removed on an exception.  An OSError of
     either is one line; a failed stdout is then pointed at os.devnull."""
     where = f"--out {path}" if path else "to stdout"
-    target = os.path.realpath(path) if path and os.path.islink(path) else path
     try:
+        try:
+            found = os.stat(path) if path else None
+        except FileNotFoundError:
+            found = None
         if not path:
             yield sys.stdout
-        elif os.path.isdir(target):
+        elif found and stat.S_ISDIR(found.st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        elif not os.path.isfile(target) and os.path.exists(target):
-            with io.TextIOWrapper(io.BufferedWriter(_Device(target, "w")), newline="\n") as sink:
+        elif found and not stat.S_ISREG(found.st_mode):
+            with io.TextIOWrapper(io.BufferedWriter(_Device(path, "w")), newline="\n") as sink:
                 yield sink
         else:
+            target = os.path.realpath(path)
             os.umask(umask := os.umask(0))  # the umask is read by setting it
-            mode = os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target) or ".", prefix=".gjc-", suffix=".tmp")
+            mode = found.st_mode & 0o7777 if found else 0o666 & ~umask
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gjc-", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", newline="\n") as sink:
                     os.chmod(tmp, mode)

@@ -136,7 +136,7 @@ def propagate(h: HamiltonianMatrix, initial: QubitBosonState, times):
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     whole = _propagator(h, initial)(times)
-    stream_observables(lambda _: whole, initial, times, max(times.size, 1), 2 * h.k)
+    stream_observables([lambda _: whole], initial, times, max(times.size, 1), 2 * h.k)
     return whole
 
 
@@ -149,4 +149,4 @@ def trace_observables(h: HamiltonianMatrix, initial: QubitBosonState, times):
     check of ``_propagator``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return stream_observables(_propagator(h, initial), initial, times, BLOCK_COLUMNS, 2 * h.k)
+    return stream_observables([_propagator(h, initial)], initial, times, BLOCK_COLUMNS, 2 * h.k)

@@ -9,8 +9,10 @@ away.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,30 +162,57 @@ def check_leak(leak: float, n_max: int, guard: int) -> None:
         )
 
 
-def stream_observables(amplitudes, initial: QubitBosonState, times, width: int, guard: int):
-    """Observables of ``amplitudes`` over the 1-D grid ``times``, block by block,
-    judged against ``initial``.
+def stream_observables(blocks, initial: QubitBosonState, times, width: int, guard: int):
+    """Observables of the amplitude ``blocks`` over the 1-D grid ``times``,
+    block by block, judged against ``initial``.
 
-    ``amplitudes`` maps a slice of ``times`` to amplitude matrices of shape
-    (n_max+1, len(slice)).  The grid is split evenly into the fewest blocks
-    of at most ``width`` time points, so no block has a single column unless
-    the grid has; each block is squared once and reduced before the next is
-    made.  Returns the four observable arrays, as ``observables`` gives them
-    for the whole grid.  After the last block, raises ConfigError if any
-    column's squared norm drifts from ``initial``'s by more than _NORM_TOL,
-    then TruncationError (check_leak) on the largest population of the top
-    ``guard`` Fock levels.  A NaN column passes both and stays in the trace.
+    ``blocks`` is a list of functions, each mapping a slice of ``times`` to
+    amplitude matrices of shape (n_max+1, len(slice)).  The grid is split
+    evenly into the fewest blocks of at most ``width`` time points, so no
+    block has a single column unless the grid has.  Block i runs on worker
+    i % W, W = min(len(blocks), number of blocks) or 1: the calling thread is
+    worker 0 and the others are threads, each with its own function and a
+    copy of the caller's context (so numpy's errstate holds in them too).
+    Each block is squared once and reduced before its worker makes the next.
+    Returns the four observable arrays, as ``observables`` gives them for the
+    whole grid.  After the last block, raises a worker's exception, else
+    ConfigError if any column's squared norm drifts from ``initial``'s by
+    more than _NORM_TOL, then TruncationError (check_leak) on the largest
+    population of the top ``guard`` Fock levels.  A NaN column passes both
+    and stays in the trace.
     """
     n_blocks = -(-times.size // width)
     bounds = [times.size * i // max(n_blocks, 1) for i in range(n_blocks + 1)]
-    trace, drift, leak = np.empty((4, times.size)), 0.0, 0.0
+    n_workers = max(1, min(len(blocks), n_blocks))
+    trace = np.empty((4, times.size))
+    maxima = np.zeros((n_workers, 2))  # each worker's (drift, leak)
+    errors = [None] * n_workers
     norm_squared = initial.norm_squared()
-    for lo, hi in zip(bounds, bounds[1:]):
-        *columns, norms, top = _reduce(*amplitudes(times[lo:hi]), guard)
-        trace[:, lo:hi] = columns
-        # unlike max(), np.maximum keeps a NaN (an overflowed model or phase)
-        drift = np.maximum(drift, np.max(np.abs(norms - norm_squared)))
-        leak = np.maximum(leak, np.max(top))
+
+    def work(w):
+        try:
+            for i in range(w, n_blocks, n_workers):
+                lo, hi = bounds[i], bounds[i + 1]
+                *columns, norms, top = _reduce(*blocks[w](times[lo:hi]), guard)
+                trace[:, lo:hi] = columns
+                # unlike max(), np.maximum keeps a NaN (an overflowed model or phase)
+                maxima[w] = np.maximum(maxima[w], (np.max(np.abs(norms - norm_squared)), np.max(top)))
+        except BaseException as exc:
+            errors[w] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, w))
+        for w in range(1, n_workers)
+    ]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    drift, leak = np.max(maxima, axis=0)
     if drift > _NORM_TOL:
         raise ConfigError(f"propagation norm drift {drift:.3e} exceeds {_NORM_TOL:g}")
     check_leak(leak, initial.n_max, guard)

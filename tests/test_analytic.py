@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjc import analytic
 from gjc.algebra import ladder_factor
 from gjc.analytic import (
     CHUNK_ELEMENTS,
@@ -32,7 +33,14 @@ from gjc.model import (
     registry_model,
 )
 from gjc.oracle import assemble, propagate
-from gjc.states import QubitBosonState, coherent_amplitudes, coherent_state, fock_state, observables
+from gjc.states import (
+    QubitBosonState,
+    coherent_amplitudes,
+    coherent_state,
+    fock_state,
+    observables,
+    stream_observables,
+)
 
 JC = registry_model("jc")
 
@@ -423,6 +431,39 @@ class TestStreamedTrace:
             trace_observables(spec, initial, times)
         assert str(excinfo.value) == f"{message} exceeds 1e-10; raise n_max (suggestion: 128)"
 
+    @pytest.mark.parametrize("name", ["jc", "kerr-two-photon"])
+    @pytest.mark.parametrize("n_max, points", _GRIDS)
+    def test_worker_count_gives_the_same_bits(self, name, n_max, points):
+        spec = registry_model(name)
+        initial = _both_levels_coherent(0.02 if n_max < 64 else 3.0, n_max)
+        times = np.linspace(0.0, 200.0, points)
+        width = _chunk(n_max)
+        traces = [
+            np.stack(stream_observables(analytic._amplitude_kernel(spec, initial, min(width, points), workers),
+                                        initial, times, width, 2 * spec.k))
+            for workers in (1, 2, 3)
+        ]
+        for trace in traces[1:]:
+            assert np.array_equal(trace.view(np.uint64), traces[0].view(np.uint64))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("jc", "population 1.000e+00 in the top 2 Fock level(s)"),
+            ("parity-deformed", "population 9.403e-01 in the top 2 Fock level(s)"),
+        ],
+    )
+    def test_leak_message_does_not_depend_on_the_worker_count(self, workers, name, message):
+        # the case of test_truncation_message_names_the_largest_leak_of_any_chunk
+        spec, n_max = registry_model(name), 64
+        initial = fock_state("e", 62, n_max)
+        times = np.linspace(0.0, 8.0, 5000)
+        blocks = analytic._amplitude_kernel(spec, initial, _chunk(n_max), workers)
+        with pytest.raises(TruncationError) as excinfo:
+            stream_observables(blocks, initial, times, _chunk(n_max), 2 * spec.k)
+        assert str(excinfo.value) == f"{message} exceeds 1e-10; raise n_max (suggestion: 128)"
+
     def test_peak_memory_below_one_amplitude_matrix(self):
         n_max, points = 1024, 2001
         initial = coherent_state("g", 3.0, n_max)
@@ -434,6 +475,42 @@ class TestStreamedTrace:
         finally:
             tracemalloc.stop()
         assert peak < (n_max + 1) * points * np.dtype(np.complex128).itemsize
+
+
+def _exp_amplitudes(spec, initial, times):
+    """The amplitude kernel's (amp_e, amp_g), with its phases written as
+    complex np.exp(-1j * np.outer(t, E)) and projected on ``initial``."""
+    n_max, k = initial.n_max, spec.k
+    model_table = spec.validate_range(n_max)
+    table = manifolds(spec, model_table)
+    diag_e, diag_g = analytic._diagonals(spec, *model_table[1:])
+    nb = table.beta.size
+    cos_h, sin_h = dressed_states(table)[:, 0].T
+    ce, cg = initial.amp_e[:nb], initial.amp_g[k : k + nb]
+    adv_plus = np.exp(-1j * np.outer(times, table.e_plus)) * (cos_h * ce + sin_h * cg)
+    adv_minus = np.exp(-1j * np.outer(times, table.e_minus)) * (-sin_h * ce + cos_h * cg)
+    amp_e = np.empty((times.size, n_max + 1), dtype=complex)
+    amp_g = np.empty((times.size, n_max + 1), dtype=complex)
+    amp_e[:, :nb] = cos_h * adv_plus - sin_h * adv_minus
+    amp_g[:, k:] = sin_h * adv_plus + cos_h * adv_minus
+    amp_g[:, :k] = initial.amp_g[:k] * np.exp(-1j * np.outer(times, diag_g[:k]))
+    amp_e[:, nb:] = initial.amp_e[nb:] * np.exp(-1j * np.outer(times, diag_e[nb:]))
+    return amp_e.T, amp_g.T
+
+
+@pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
+def test_kernel_phases_give_the_bits_of_complex_exp(entry):
+    # the CSV bytes rest on these phases: a kernel that forms them another
+    # way (real cos and sin, say, which round like numpy's complex exp on
+    # some platforms only) fails here rather than changing the bytes
+    n_max = 64
+    initial = _both_levels_coherent(3.0, n_max)
+    ramp = np.geomspace(1e-3, 1e8, 3001)
+    times = np.concatenate([-ramp[::-1], [-0.0, 0.0], ramp, np.linspace(0.0, 200.0, 2001)])
+    kernel = evolve_amplitudes(entry.spec, initial, times)
+    reference = _exp_amplitudes(entry.spec, initial, times)
+    for ours, theirs in zip(kernel, reference):
+        assert ours.tobytes() == theirs.tobytes()
 
 
 def test_manifolds_cover_truncation():

@@ -82,6 +82,22 @@ class TestSpectrum:
             if r[0] == "manifold":
                 assert float(r[3]) in (0.0, math.pi)
 
+    def test_negative_coupling_beta_wraps_to_three_halves_pi(self, tmp_path):
+        # resonant, g < 0: atan2 gives -pi/2, and beta is wrapped into [0, 2pi)
+        doc = {
+            "omega": 1.0, "omega0": 1.0, "g": -0.1, "k": 1,
+            "f": {"kind": "One", "params": []},
+            "F": {"kind": "Zero", "params": []},
+            "G": {"kind": "Zero", "params": []},
+        }
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", str(cfg), "--nmax", "8", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        betas = [r[3] for r in rows if r[0] == "manifold"]
+        assert betas == ["4.7123889803846897e+00"] * 8
+
     def test_default_nmax(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--model", "jc", "--out", str(out)]) == 0
@@ -938,6 +954,17 @@ class TestOutputOpenedFirst:
         assert captured.out == "" and dup2 == []
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert list(tmp_path.iterdir()) == [fifo]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_into_a_pipe_is_written_through(self, capsys):
+        # /dev/stdout links to the pipe the reader holds; the links resolve
+        # to no path, and os.stat finds the pipe itself
+        argv = ["spectrum", "--model", "jc", "--nmax", "4"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        with TestErrors._gjc([*argv, "--out", "/dev/stdout"], subprocess.PIPE) as proc:
+            received, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err, received) == (0, b"", expected)
 
 
 class TestOneEvaluationPerEngine:

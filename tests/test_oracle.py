@@ -218,7 +218,7 @@ class TestStreamedTrace:
         times = np.linspace(0.0, 200.0, 2001)
         if engine == "analytic":
             width = analytic.CHUNK_ELEMENTS // (n_max + 1)
-            blocks = analytic._amplitude_kernel(spec, initial, width)
+            blocks = analytic._amplitude_kernel(spec, initial, width)[0]
             amp_e, amp_g = analytic.evolve_amplitudes(spec, initial, times)
         else:
             h, width = assemble(spec, n_max), BLOCK_COLUMNS

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from gjc.states import (
     fock_state,
     _reduce,
     observables,
+    stream_observables,
 )
 
 mp.mp.dps = 40
@@ -246,6 +248,67 @@ class TestGuardPopulation:
             "raise n_max (suggestion: 6)"
         )
         assert excinfo.value.suggested_n_max == 6
+
+
+class TestStreamWorkers:
+    """stream_observables runs block i on function i % W, W = min(functions,
+    blocks): function 0 on the calling thread, every other one on a thread of
+    its own in a copy of the caller's context.  The maxima of all workers are
+    judged after the join, and a worker's exception is raised there."""
+
+    N_MAX = 3
+    GROUND = fock_state("g", 0, N_MAX)
+
+    def _functions(self, count, calls, scale=lambda w, t: 1.0):
+        # |g, 0> times ``scale``; each call records its function, thread,
+        # first time and numpy's invalid-value mode
+        def function(w):
+            def amplitudes(times):
+                calls.append((w, threading.current_thread(), times[0], np.geterr()["invalid"]))
+                amp_e = np.zeros((self.N_MAX + 1, times.size), dtype=complex)
+                amp_g = np.zeros_like(amp_e)
+                amp_g[0] = scale(w, times)
+                return amp_e, amp_g
+
+            return amplitudes
+
+        return [function(w) for w in range(count)]
+
+    @pytest.mark.parametrize("functions, points, workers", [(3, 7, 3), (3, 2, 2), (1, 5, 1), (4, 1, 1)])
+    def test_block_i_runs_on_function_i_mod_w(self, functions, points, workers):
+        calls = []
+        times = np.arange(float(points))
+        with np.errstate(invalid="raise"):
+            trace = stream_observables(self._functions(functions, calls), self.GROUND, times, 1, 2)
+        assert [w for w, _, t, _ in sorted(calls, key=lambda c: c[2])] == [i % workers for i in range(points)]
+        threads = {w: thread for w, thread, _, _ in calls}
+        assert threads[0] is threading.current_thread()
+        assert len({id(thread) for thread in threads.values()}) == workers
+        assert {mode for *_, mode in calls} == {"raise"}
+        assert np.array_equal(np.stack(trace), np.tile([[-1.0], [0.0], [0.0], [0.0]], points))
+
+    def test_a_workers_exception_is_raised_after_the_join(self):
+        calls, running = [], threading.active_count()
+        functions = self._functions(3, calls)
+
+        def failing(times):
+            raise MemoryError("block 1")
+
+        functions[1] = failing
+        with pytest.raises(MemoryError, match="block 1"):
+            stream_observables(functions, self.GROUND, np.arange(5.0), 1, 2)
+        # worker 1 stops at its first block (1, then 4); workers 0 and 2 finish
+        assert sorted(t for _, _, t, _ in calls) == [0.0, 2.0, 3.0]
+        assert threading.active_count() == running
+
+    def test_maxima_of_every_worker_are_judged(self):
+        # a drift on worker 1 only; then a NaN there, which passes and stays
+        drifting = self._functions(2, [], lambda w, t: 1.0 + 1e-9 * w)
+        with pytest.raises(ConfigError, match="propagation norm drift 2.000e-09"):
+            stream_observables(drifting, self.GROUND, np.arange(4.0), 1, 2)
+        lost = self._functions(2, [], lambda w, t: math.nan if w else 1.0)
+        sigma_z = stream_observables(lost, self.GROUND, np.arange(4.0), 1, 2)[0]
+        assert np.array_equal(sigma_z, [-1.0, math.nan, -1.0, math.nan], equal_nan=True)
 
 
 class TestInvariants:
