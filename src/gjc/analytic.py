@@ -33,6 +33,12 @@ from .states import QubitBosonState, stream_observables
 # the peak RSS of the `scale` and `figures` benchmarks by 17-19% (BENCH_21.json).
 CHUNK_ELEMENTS = 1 << 13
 
+# Workers of one trace, at most: two ran the `scale` benchmark's evolve 29%
+# faster than one on a 2-core VM (BENCH_21.json), and no wider machine was
+# measured.  Each worker adds a thread and its own work arrays, so the cap
+# also bounds the trace's memory.
+MAX_WORKERS = 2
+
 
 def _shifts(k: int, f_lo, g_lo, f_hi, g_hi):
     """(center, split) from F and G at the lower and upper partners (see aux_two_point)."""
@@ -295,11 +301,12 @@ def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     The grid is streamed and judged by ``states.stream_observables`` in
     blocks of at most CHUNK_ELEMENTS // (n_max+1) time points (at least
     one), with the top 2k Fock levels as the leak guard, as in the oracle.
-    The blocks run on one worker per CPU of the process's affinity mask (at
-    most one per block), for the same bits as on one.
+    The blocks run on MAX_WORKERS workers, or fewer where the process's
+    affinity mask has fewer CPUs or the grid fewer blocks, for the same bits
+    as on one.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     width = max(1, CHUNK_ELEMENTS // (initial.n_max + 1))
-    workers = min(_cpus(), -(-times.size // width))  # no work arrays without a block
+    workers = min(MAX_WORKERS, _cpus(), -(-times.size // width))  # no work arrays without a block
     blocks = _amplitude_kernel(spec, initial, min(width, times.size), workers)
     return stream_observables(blocks, initial, times, width, 2 * spec.k)

@@ -175,7 +175,8 @@ def stream_observables(blocks, initial: QubitBosonState, times, width: int, guar
     copy of the caller's context (so numpy's errstate holds in them too).
     Each block is squared once and reduced before its worker makes the next.
     Returns the four observable arrays, as ``observables`` gives them for the
-    whole grid.  After the last block, raises a worker's exception, else
+    whole grid.  A worker's exception ends every worker at its next block
+    and is raised after the join; else, after the last block, raises
     ConfigError if any column's squared norm drifts from ``initial``'s by
     more than _NORM_TOL, then TruncationError (check_leak) on the largest
     population of the top ``guard`` Fock levels.  A NaN column passes both
@@ -187,11 +188,14 @@ def stream_observables(blocks, initial: QubitBosonState, times, width: int, guar
     trace = np.empty((4, times.size))
     maxima = np.zeros((n_workers, 2))  # each worker's (drift, leak)
     errors = [None] * n_workers
+    stop = threading.Event()  # set by the first failure: every worker ends at its next block
     norm_squared = initial.norm_squared()
 
     def work(w):
         try:
             for i in range(w, n_blocks, n_workers):
+                if stop.is_set():
+                    return
                 lo, hi = bounds[i], bounds[i + 1]
                 *columns, norms, top = _reduce(*blocks[w](times[lo:hi]), guard)
                 trace[:, lo:hi] = columns
@@ -199,16 +203,21 @@ def stream_observables(blocks, initial: QubitBosonState, times, width: int, guar
                 maxima[w] = np.maximum(maxima[w], (np.max(np.abs(norms - norm_squared)), np.max(top)))
         except BaseException as exc:
             errors[w] = exc
+            stop.set()
 
     threads = [
         threading.Thread(target=contextvars.copy_context().run, args=(work, w))
         for w in range(1, n_workers)
     ]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:  # a thread that would not start, or an interrupted join
+        stop.set()
+        raise
     for exc in errors:
         if exc is not None:
             raise exc

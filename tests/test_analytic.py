@@ -476,6 +476,29 @@ class TestStreamedTrace:
             tracemalloc.stop()
         assert peak < (n_max + 1) * points * np.dtype(np.complex128).itemsize
 
+    def test_worker_count_is_capped_on_a_wide_affinity_mask(self, monkeypatch):
+        # each worker has its own work arrays: the cap keeps the previous
+        # test's bound on a host with 64 CPUs
+        n_max, points = 1024, 2001
+        initial = coherent_state("g", 3.0, n_max)
+        times = np.linspace(0.0, 200.0, points)
+        kernel, workers = analytic._amplitude_kernel, []
+
+        def counted(spec, initial, columns, count=1):
+            workers.append(count)
+            return kernel(spec, initial, columns, count)
+
+        monkeypatch.setattr(analytic, "_cpus", lambda: 64)
+        monkeypatch.setattr(analytic, "_amplitude_kernel", counted)
+        tracemalloc.start()
+        try:
+            trace_observables(JC, initial, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert workers == [analytic.MAX_WORKERS] == [2]
+        assert peak < (n_max + 1) * points * np.dtype(np.complex128).itemsize
+
 
 def _exp_amplitudes(spec, initial, times):
     """The amplitude kernel's (amp_e, amp_g), with its phases written as

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import mpmath as mp
 import numpy as np
@@ -297,9 +298,28 @@ class TestStreamWorkers:
         functions[1] = failing
         with pytest.raises(MemoryError, match="block 1"):
             stream_observables(functions, self.GROUND, np.arange(5.0), 1, 2)
-        # worker 1 stops at its first block (1, then 4); workers 0 and 2 finish
-        assert sorted(t for _, _, t, _ in calls) == [0.0, 2.0, 3.0]
+        # worker 1 never gets past its first block (1, then 4)
+        assert {t for _, _, t, _ in calls} <= {0.0, 2.0, 3.0}
         assert threading.active_count() == running
+
+    @pytest.mark.parametrize("failing, error", [(0, KeyboardInterrupt), (1, MemoryError)])
+    def test_a_failing_worker_stops_the_others(self, failing, error):
+        # the healthy worker has 200 blocks of 1 ms, unless the failure stops it
+        calls = []
+        functions = self._functions(2, calls)
+        healthy = functions[1 - failing]
+
+        def slow(times):
+            time.sleep(1e-3)
+            return healthy(times)
+
+        def fail(times):
+            raise error("stop")
+
+        functions[1 - failing], functions[failing] = slow, fail
+        with pytest.raises(error, match="stop"):
+            stream_observables(functions, self.GROUND, np.arange(400.0), 1, 2)
+        assert len(calls) < 50
 
     def test_maxima_of_every_worker_are_judged(self):
         # a drift on worker 1 only; then a NaN there, which passes and stays
