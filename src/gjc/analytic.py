@@ -15,7 +15,6 @@ provides the independent cross-check.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +31,6 @@ from .states import QubitBosonState, stream_observables
 # same bits (BENCH_14.json).  With two workers 2^15 was faster, but raised
 # the peak RSS of the `scale` and `figures` benchmarks by 17-19% (BENCH_21.json).
 CHUNK_ELEMENTS = 1 << 13
-
-# Workers of one trace, at most: two ran the `scale` benchmark's evolve 29%
-# faster than one on a 2-core VM (BENCH_21.json), and no wider machine was
-# measured.  Each worker adds a thread and its own work arrays, so the cap
-# also bounds the trace's memory.
-MAX_WORKERS = 2
 
 
 def _shifts(k: int, f_lo, g_lo, f_hi, g_hi):
@@ -188,13 +181,13 @@ def _diagonals(spec: ModelSpec, F, G):
     )
 
 
-def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int, workers: int = 1):
-    """The closed-form evolution of ``initial`` as ``workers`` functions of up
-    to ``columns`` times each, which may run on separate threads.
+def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
+    """The closed-form evolution of ``initial`` as a factory of functions of
+    up to ``columns`` times each: one function for each thread that runs them.
 
     The manifold table, the diagonal energies, the dressed pairs and the
     projections of ``initial`` onto them are computed here, once.  Each
-    returned function owns time-major work arrays for ``columns`` time
+    function it makes owns time-major work arrays for ``columns`` time
     points and maps a 1-D array of times to amplitude matrices (amp_e, amp_g)
     of shape (n_max+1, len(times)): transposed views of those work arrays,
     which its next call overwrites.  Each manifold's dressed components
@@ -244,14 +237,14 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int, w
 
         return amplitudes
 
-    return [block_function() for _ in range(workers)]
+    return block_function
 
 
 def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
     """Amplitude matrices (amp_e, amp_g) of shape (n_max+1, len(times)): the
     amplitude kernel over the whole grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return _amplitude_kernel(spec, initial, times.size)[0](times)
+    return _amplitude_kernel(spec, initial, times.size)()(times)
 
 
 def evolve(spec: ModelSpec, initial: QubitBosonState, times):
@@ -287,13 +280,6 @@ def sigma_z_fock(table: Manifolds, t):
     return cos_b**2 + sin_b**2 * np.cos(split * t)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     """Evolve, then record (<sigma_z>, <n>, <x>, <y>) on the time grid, one
     array per observable as ``states.observables`` gives them.
@@ -301,12 +287,8 @@ def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     The grid is streamed and judged by ``states.stream_observables`` in
     blocks of at most CHUNK_ELEMENTS // (n_max+1) time points (at least
     one), with the top 2k Fock levels as the leak guard, as in the oracle.
-    The blocks run on MAX_WORKERS workers, or fewer where the process's
-    affinity mask has fewer CPUs or the grid fewer blocks, for the same bits
-    as on one.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     width = max(1, CHUNK_ELEMENTS // (initial.n_max + 1))
-    workers = min(MAX_WORKERS, _cpus(), -(-times.size // width))  # no work arrays without a block
-    blocks = _amplitude_kernel(spec, initial, min(width, times.size), workers)
-    return stream_observables(blocks, initial, times, width, 2 * spec.k)
+    make_block = _amplitude_kernel(spec, initial, min(width, times.size))
+    return stream_observables(make_block, initial, times, width, 2 * spec.k)

@@ -66,19 +66,22 @@ class _Device(io.FileIO):
 
 @contextlib.contextmanager
 def _output(path):
-    """The command's one destination, opened before the work: stdout, or
-    --out by what os.stat finds there, following links.  A directory is
-    refused; any other existing file that is not regular (a pipe, FIFO or
-    device) is written through; a missing or regular target gets a temporary
-    file beside its resolved path with open(path, "w")'s mode, moved over
-    it when the command returns and removed on an exception.  An OSError of
-    either is one line; a failed stdout is then pointed at os.devnull."""
+    """The command's one destination, opened before the work: stdout, also for
+    an --out that is stdout's own file, or else --out by what os.stat finds
+    there, following links.  A directory is refused; any other non-regular
+    file (a pipe, FIFO or device) is written through; a missing or regular
+    target gets a temporary file beside its resolved path with open(path,
+    "w")'s mode, moved over it when the command returns and removed on an
+    exception.  An OSError of either is one line; a failed stdout is then
+    pointed at os.devnull."""
     where = f"--out {path}" if path else "to stdout"
     try:
         try:
             found = os.stat(path) if path else None
         except FileNotFoundError:
             found = None
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # an in-process stdout has no descriptor
+            path = None if found and os.path.samestat(found, os.fstat(sys.stdout.fileno())) else path
         if not path:
             yield sys.stdout
         elif found and stat.S_ISDIR(found.st_mode):

@@ -136,7 +136,7 @@ def propagate(h: HamiltonianMatrix, initial: QubitBosonState, times):
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     whole = _propagator(h, initial)(times)
-    stream_observables([lambda _: whole], initial, times, max(times.size, 1), 2 * h.k)
+    stream_observables(lambda: lambda _: whole, initial, times, max(times.size, 1), 2 * h.k)
     return whole
 
 
@@ -146,7 +146,8 @@ def trace_observables(h: HamiltonianMatrix, initial: QubitBosonState, times):
 
     The grid is streamed and judged by ``states.stream_observables`` in
     blocks of at most BLOCK_COLUMNS time points, after the eigen-residual
-    check of ``_propagator``.
+    check of ``_propagator``, whose one function every worker shares.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return stream_observables([_propagator(h, initial)], initial, times, BLOCK_COLUMNS, 2 * h.k)
+    amplitudes = _propagator(h, initial)
+    return stream_observables(lambda: amplitudes, initial, times, BLOCK_COLUMNS, 2 * h.k)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import contextvars
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -24,6 +25,13 @@ LEAK_TOLERANCE = 1e-10
 _NORM_TOL = 1e-12
 
 QUBIT_LEVELS = ("g", "e")
+
+# Workers of one trace, at most: two ran `scale`'s evolve 29% faster than one on
+# a 2-core VM (BENCH_21.json); no wider machine was measured; each worker adds memory.
+MAX_WORKERS = 2
+# Amplitudes ((n_max+1) * time points) per worker: at one BLAS thread, two workers
+# ran 18-40k-amplitude analytic traces 4-14% slower than one (BENCH_22.json).
+WORKER_AMPLITUDES = 1 << 15
 
 
 def _as_amp_vector(values, n_max, name):
@@ -162,29 +170,35 @@ def check_leak(leak: float, n_max: int, guard: int) -> None:
         )
 
 
-def stream_observables(blocks, initial: QubitBosonState, times, width: int, guard: int):
-    """Observables of the amplitude ``blocks`` over the 1-D grid ``times``,
-    block by block, judged against ``initial``.
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-    ``blocks`` is a list of functions, each mapping a slice of ``times`` to
+
+def stream_observables(make_block, initial: QubitBosonState, times, width: int, guard: int):
+    """Observables of the amplitude blocks of ``make_block`` over the 1-D
+    grid ``times``, block by block, judged against ``initial``.
+
+    ``make_block()`` returns a function mapping a slice of ``times`` to
     amplitude matrices of shape (n_max+1, len(slice)).  The grid is split
     evenly into the fewest blocks of at most ``width`` time points, so no
     block has a single column unless the grid has.  Block i runs on worker
-    i % W, W = min(len(blocks), number of blocks) or 1: the calling thread is
-    worker 0 and the others are threads, each with its own function and a
-    copy of the caller's context (so numpy's errstate holds in them too).
-    Each block is squared once and reduced before its worker makes the next.
-    Returns the four observable arrays, as ``observables`` gives them for the
-    whole grid.  A worker's exception ends every worker at its next block
-    and is raised after the join; else, after the last block, raises
-    ConfigError if any column's squared norm drifts from ``initial``'s by
-    more than _NORM_TOL, then TruncationError (check_leak) on the largest
-    population of the top ``guard`` Fock levels.  A NaN column passes both
-    and stays in the trace.
+    i % W, W = min(MAX_WORKERS, CPUs, blocks, amplitudes // WORKER_AMPLITUDES)
+    or 1: the calling thread is worker 0 and the others are threads, each with
+    its own make_block() and a copy of the caller's context (so numpy's
+    errstate holds in them too).  Each block is squared once and reduced
+    before its worker makes the next.  Returns the four observable arrays, as
+    ``observables`` gives them for the whole grid.  A worker's exception ends
+    every worker at its next block and is raised after the join; else, after
+    the last block, raises ConfigError if any column's squared norm drifts
+    from ``initial``'s by more than _NORM_TOL, then TruncationError
+    (check_leak) on the largest population of the top ``guard`` Fock levels.
+    A NaN column passes both and stays in the trace.
     """
     n_blocks = -(-times.size // width)
     bounds = [times.size * i // max(n_blocks, 1) for i in range(n_blocks + 1)]
-    n_workers = max(1, min(len(blocks), n_blocks))
+    n_workers = max(1, min(MAX_WORKERS, _cpus(), n_blocks, (initial.n_max + 1) * times.size // WORKER_AMPLITUDES))
+    blocks = [make_block() for _ in range(n_workers)]
     trace = np.empty((4, times.size))
     maxima = np.zeros((n_workers, 2))  # each worker's (drift, leak)
     errors = [None] * n_workers

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjc import analytic
+from gjc import analytic, oracle, states
 from gjc.algebra import ladder_factor
 from gjc.analytic import (
     CHUNK_ELEMENTS,
@@ -433,18 +434,23 @@ class TestStreamedTrace:
 
     @pytest.mark.parametrize("name", ["jc", "kerr-two-photon"])
     @pytest.mark.parametrize("n_max, points", _GRIDS)
-    def test_worker_count_gives_the_same_bits(self, name, n_max, points):
+    def test_worker_count_gives_the_same_bits(self, name, n_max, points, monkeypatch):
+        # both engines, the oracle up to n_max 64 (an eigh per worker count)
         spec = registry_model(name)
         initial = _both_levels_coherent(0.02 if n_max < 64 else 3.0, n_max)
         times = np.linspace(0.0, 200.0, points)
         width = _chunk(n_max)
-        traces = [
-            np.stack(stream_observables(analytic._amplitude_kernel(spec, initial, min(width, points), workers),
-                                        initial, times, width, 2 * spec.k))
-            for workers in (1, 2, 3)
-        ]
-        for trace in traces[1:]:
-            assert np.array_equal(trace.view(np.uint64), traces[0].view(np.uint64))
+        h = assemble(spec, n_max) if n_max <= 64 else None
+        traces = {"analytic": [], "oracle": []}
+        for workers in (1, 2, 3):
+            _set_workers(monkeypatch, workers)
+            traces["analytic"].append(np.stack(stream_observables(
+                analytic._amplitude_kernel(spec, initial, min(width, points)), initial, times, width, 2 * spec.k)))
+            if h is not None:
+                traces["oracle"].append(np.stack(oracle.trace_observables(h, initial, times)))
+        for engine in traces.values():
+            for trace in engine[1:]:
+                assert np.array_equal(trace.view(np.uint64), engine[0].view(np.uint64))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -454,15 +460,21 @@ class TestStreamedTrace:
             ("parity-deformed", "population 9.403e-01 in the top 2 Fock level(s)"),
         ],
     )
-    def test_leak_message_does_not_depend_on_the_worker_count(self, workers, name, message):
-        # the case of test_truncation_message_names_the_largest_leak_of_any_chunk
+    def test_leak_message_does_not_depend_on_the_worker_count(self, workers, name, message, monkeypatch):
+        # the case of test_truncation_message_names_the_largest_leak_of_any_chunk,
+        # on both engines
         spec, n_max = registry_model(name), 64
         initial = fock_state("e", 62, n_max)
         times = np.linspace(0.0, 8.0, 5000)
-        blocks = analytic._amplitude_kernel(spec, initial, _chunk(n_max), workers)
-        with pytest.raises(TruncationError) as excinfo:
-            stream_observables(blocks, initial, times, _chunk(n_max), 2 * spec.k)
-        assert str(excinfo.value) == f"{message} exceeds 1e-10; raise n_max (suggestion: 128)"
+        _set_workers(monkeypatch, workers)
+        make_block = analytic._amplitude_kernel(spec, initial, _chunk(n_max))
+        for trace in (
+            lambda: stream_observables(make_block, initial, times, _chunk(n_max), 2 * spec.k),
+            lambda: oracle.trace_observables(assemble(spec, n_max), initial, times),
+        ):
+            with pytest.raises(TruncationError) as excinfo:
+                trace()
+            assert str(excinfo.value) == f"{message} exceeds 1e-10; raise n_max (suggestion: 128)"
 
     def test_peak_memory_below_one_amplitude_matrix(self):
         n_max, points = 1024, 2001
@@ -482,22 +494,54 @@ class TestStreamedTrace:
         n_max, points = 1024, 2001
         initial = coherent_state("g", 3.0, n_max)
         times = np.linspace(0.0, 200.0, points)
-        kernel, workers = analytic._amplitude_kernel, []
-
-        def counted(spec, initial, columns, count=1):
-            workers.append(count)
-            return kernel(spec, initial, columns, count)
-
-        monkeypatch.setattr(analytic, "_cpus", lambda: 64)
-        monkeypatch.setattr(analytic, "_amplitude_kernel", counted)
+        made, _ = _count_workers(monkeypatch)
+        monkeypatch.setattr(states, "_cpus", lambda: 64)
         tracemalloc.start()
         try:
             trace_observables(JC, initial, times)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert workers == [analytic.MAX_WORKERS] == [2]
+        assert [len(made)] == [states.MAX_WORKERS] == [2]
         assert peak < (n_max + 1) * points * np.dtype(np.complex128).itemsize
+
+    @pytest.mark.parametrize("n_max, workers", [(8, 1), (64, 2)])
+    def test_a_grid_gets_one_worker_per_worker_amplitudes(self, monkeypatch, n_max, workers):
+        # 9 x 2001 amplitudes are fewer than 2 * WORKER_AMPLITUDES: one set of
+        # work arrays and no thread, though the grid has three blocks
+        made, started = _count_workers(monkeypatch)
+        monkeypatch.setattr(states, "_cpus", lambda: 2)
+        times = np.linspace(0.0, 200.0, 2001)
+        assert -(-times.size // _chunk(n_max)) >= 3
+        trace_observables(JC, fock_state("g", 0, n_max), times)
+        assert (len(made), len(started)) == (workers, workers - 1)
+
+
+def _set_workers(monkeypatch, workers):
+    """Make stream_observables start ``workers`` workers on any grid of that many blocks."""
+    monkeypatch.setattr(states, "MAX_WORKERS", workers)
+    monkeypatch.setattr(states, "_cpus", lambda: workers)
+    monkeypatch.setattr(states, "WORKER_AMPLITUDES", 1)
+
+
+def _count_workers(monkeypatch):
+    """Lists that record each block function the analytic kernel makes and
+    each thread started."""
+    made, started = [], []
+    kernel, start = analytic._amplitude_kernel, threading.Thread.start
+
+    def counted(*args):
+        make_block = kernel(*args)
+
+        def counting():
+            made.append(make_block())
+            return made[-1]
+
+        return counting
+
+    monkeypatch.setattr(analytic, "_amplitude_kernel", counted)
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+    return made, started
 
 
 def _exp_amplitudes(spec, initial, times):

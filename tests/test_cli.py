@@ -966,6 +966,34 @@ class TestOutputOpenedFirst:
             received, err = proc.communicate(timeout=120)
         assert (proc.returncode, err, received) == (0, b"", expected)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_appending_to_a_file_keeps_its_lines(self, tmp_path, capsys):
+        # /dev/stdout resolves to the regular file stdout appends to: a
+        # temporary file moved over it would drop the earlier line
+        argv = ["spectrum", "--model", "jc", "--nmax", "2"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        log = tmp_path / "app.log"
+        log.write_bytes(b"earlier line\n")
+        with open(log, "ab") as stdout, TestErrors._gjc([*argv, "--out", "/dev/stdout"], stdout) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert log.read_bytes() == b"earlier line\n" + expected
+        assert list(tmp_path.iterdir()) == [log]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_into_a_file_holds_verify_table_and_report(self, tmp_path, capsys):
+        # verify's table and its --out report share stdout's file: a report
+        # moved over the file would leave the table in an unlinked inode
+        argv = ["verify", "--model", "jc", "--nmax", "8"]
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        expected = capsys.readouterr().out.encode() + (tmp_path / "report.json").read_bytes()
+        log = tmp_path / "v.log"
+        with open(log, "wb") as stdout, TestErrors._gjc([*argv, "--out", "/dev/stdout"], stdout) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert log.read_bytes() == expected
+
 
 class TestOneEvaluationPerEngine:
     """f, F and G are evaluated once over 0..n_max per engine: the analytic

@@ -1,10 +1,11 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gjc import analytic, oracle
+from gjc import analytic, oracle, states
 from gjc.analytic import trace_observables as analytic_trace
 from gjc.errors import ConfigError, TruncationError
 from gjc.model import registry, registry_model
@@ -218,7 +219,7 @@ class TestStreamedTrace:
         times = np.linspace(0.0, 200.0, 2001)
         if engine == "analytic":
             width = analytic.CHUNK_ELEMENTS // (n_max + 1)
-            blocks = analytic._amplitude_kernel(spec, initial, width)[0]
+            blocks = analytic._amplitude_kernel(spec, initial, width)()
             amp_e, amp_g = analytic.evolve_amplitudes(spec, initial, times)
         else:
             h, width = assemble(spec, n_max), BLOCK_COLUMNS
@@ -230,6 +231,18 @@ class TestStreamedTrace:
         exact = np.array([math.fsum(column) for column in squares.T])
         assert norms.shape == times.shape
         assert np.max(np.abs(norms - exact)) <= 1e-15
+
+    def test_two_workers_share_one_eigendecomposition(self, monkeypatch):
+        # 130 x 2001 amplitudes run on two workers, which share the spectrum
+        # and its residual check
+        calls, started = [], []
+        eigen, start = oracle.spectrum, threading.Thread.start
+        monkeypatch.setattr(oracle, "spectrum", lambda h: calls.append(h) or eigen(h))
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        monkeypatch.setattr(states, "_cpus", lambda: 2)
+        h = assemble(JC, 64)
+        oracle.trace_observables(h, coherent_state("g", 3.0, 64), np.linspace(0.0, 200.0, 2001))
+        assert (len(calls), len(started)) == (1, 1)
 
     def test_empty_grid_gives_empty_arrays(self):
         # no blocks: four empty arrays, no drift and no leak

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjc import states
 from gjc.errors import ConfigError, TruncationError
 from gjc.states import (
     LEAK_TOLERANCE,
@@ -253,12 +254,25 @@ class TestGuardPopulation:
 
 class TestStreamWorkers:
     """stream_observables runs block i on function i % W, W = min(functions,
-    blocks): function 0 on the calling thread, every other one on a thread of
-    its own in a copy of the caller's context.  The maxima of all workers are
-    judged after the join, and a worker's exception is raised there."""
+    blocks) here, where the worker cap, the CPU count and the floor of
+    amplitudes per worker admit one worker per function: function 0 on the
+    calling thread, every other one on a thread of its own in a copy of the
+    caller's context.  The maxima of all workers are judged after the join,
+    and a worker's exception is raised there."""
 
     N_MAX = 3
     GROUND = fock_state("g", 0, N_MAX)
+
+    @pytest.fixture(autouse=True)
+    def no_cap_but_the_functions(self, monkeypatch):
+        monkeypatch.setattr(states, "_cpus", lambda: 64)
+        monkeypatch.setattr(states, "WORKER_AMPLITUDES", 1)
+        self.monkeypatch = monkeypatch
+
+    def _stream(self, functions, times):
+        """stream_observables over |g, 0>, each worker making the next of ``functions``."""
+        self.monkeypatch.setattr(states, "MAX_WORKERS", len(functions))
+        return stream_observables(iter(functions).__next__, self.GROUND, times, 1, 2)
 
     def _functions(self, count, calls, scale=lambda w, t: 1.0):
         # |g, 0> times ``scale``; each call records its function, thread,
@@ -280,7 +294,7 @@ class TestStreamWorkers:
         calls = []
         times = np.arange(float(points))
         with np.errstate(invalid="raise"):
-            trace = stream_observables(self._functions(functions, calls), self.GROUND, times, 1, 2)
+            trace = self._stream(self._functions(functions, calls), times)
         assert [w for w, _, t, _ in sorted(calls, key=lambda c: c[2])] == [i % workers for i in range(points)]
         threads = {w: thread for w, thread, _, _ in calls}
         assert threads[0] is threading.current_thread()
@@ -297,7 +311,7 @@ class TestStreamWorkers:
 
         functions[1] = failing
         with pytest.raises(MemoryError, match="block 1"):
-            stream_observables(functions, self.GROUND, np.arange(5.0), 1, 2)
+            self._stream(functions, np.arange(5.0))
         # worker 1 never gets past its first block (1, then 4)
         assert {t for _, _, t, _ in calls} <= {0.0, 2.0, 3.0}
         assert threading.active_count() == running
@@ -318,16 +332,16 @@ class TestStreamWorkers:
 
         functions[1 - failing], functions[failing] = slow, fail
         with pytest.raises(error, match="stop"):
-            stream_observables(functions, self.GROUND, np.arange(400.0), 1, 2)
+            self._stream(functions, np.arange(400.0))
         assert len(calls) < 50
 
     def test_maxima_of_every_worker_are_judged(self):
         # a drift on worker 1 only; then a NaN there, which passes and stays
         drifting = self._functions(2, [], lambda w, t: 1.0 + 1e-9 * w)
         with pytest.raises(ConfigError, match="propagation norm drift 2.000e-09"):
-            stream_observables(drifting, self.GROUND, np.arange(4.0), 1, 2)
+            self._stream(drifting, np.arange(4.0))
         lost = self._functions(2, [], lambda w, t: math.nan if w else 1.0)
-        sigma_z = stream_observables(lost, self.GROUND, np.arange(4.0), 1, 2)[0]
+        sigma_z = self._stream(lost, np.arange(4.0))[0]
         assert np.array_equal(sigma_z, [-1.0, math.nan, -1.0, math.nan], equal_nan=True)
 
 
