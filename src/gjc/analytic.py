@@ -181,9 +181,9 @@ def _diagonals(spec: ModelSpec, F, G):
     )
 
 
-def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
-    """The closed-form evolution of ``initial`` as a factory of functions of
-    up to ``columns`` times each: one function for each thread that runs them.
+def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState):
+    """The closed-form evolution of ``initial`` as a factory ``make_block(columns)``
+    of functions of up to ``columns`` times each: one per thread that runs them.
 
     The manifold table, the diagonal energies, the dressed pairs and the
     projections of ``initial`` onto them are computed here, once.  Each
@@ -197,7 +197,7 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
     Every entry is an elementwise function of its own time, so a slice of
     the grid gives the bits of the whole grid on any of the functions.
     Reusing the work arrays keeps a streamed grid from allocating, and
-    faulting in, fresh pages per chunk.
+    faulting in, fresh pages per block.
     """
     n_max, k = initial.n_max, spec.k
     model_table = spec.validate_range(n_max)
@@ -212,7 +212,7 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
     dark = slice(0, min(k, n_max + 1))
     top = slice(n_pairs, n_max + 1)
 
-    def block_function():
+    def block_function(columns):
         # Work arrays for `columns` time points; every call writes every
         # column of both amplitude blocks.
         blocks = np.empty((2, columns, n_max + 1), dtype=np.complex128)
@@ -242,9 +242,10 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState, columns: int):
 
 def evolve_amplitudes(spec: ModelSpec, initial: QubitBosonState, times):
     """Amplitude matrices (amp_e, amp_g) of shape (n_max+1, len(times)): the
-    amplitude kernel over the whole grid."""
+    amplitude kernel over the whole grid.  Unlike ``oracle.propagate``, it
+    does not judge them: no norm drift or leak check."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return _amplitude_kernel(spec, initial, times.size)()(times)
+    return _amplitude_kernel(spec, initial)(times.size)(times)
 
 
 def evolve(spec: ModelSpec, initial: QubitBosonState, times):
@@ -284,11 +285,8 @@ def trace_observables(spec: ModelSpec, initial: QubitBosonState, times):
     """Evolve, then record (<sigma_z>, <n>, <x>, <y>) on the time grid, one
     array per observable as ``states.observables`` gives them.
 
-    The grid is streamed and judged by ``states.stream_observables`` in
-    blocks of at most CHUNK_ELEMENTS // (n_max+1) time points (at least
-    one), with the top 2k Fock levels as the leak guard, as in the oracle.
+    The grid is streamed and judged by ``states.stream_observables``, in
+    blocks of at most CHUNK_ELEMENTS // (n_max+1) time points (at least one).
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     width = max(1, CHUNK_ELEMENTS // (initial.n_max + 1))
-    make_block = _amplitude_kernel(spec, initial, min(width, times.size))
-    return stream_observables(make_block, initial, times, width, 2 * spec.k)
+    return stream_observables(_amplitude_kernel(spec, initial), initial, times, width, spec.k)

@@ -103,12 +103,13 @@ def spectrum(h: HamiltonianMatrix):
 
 
 def _propagator(h: HamiltonianMatrix, initial: QubitBosonState):
-    """The eigenbasis evolution of ``initial`` as a function of times.
+    """The eigenbasis evolution of ``initial`` as a factory ``make_block(columns)``
+    that hands every caller the same function of times, whatever ``columns``.
 
     The spectrum (with its residual check) and the projection of
-    ``initial`` onto the eigenvectors are computed here, once.  The
-    returned function maps a 1-D array of times to amplitude matrices
-    (amp_e, amp_g) of shape (n_max+1, len(times)), which ``states``
+    ``initial`` onto the eigenvectors are computed here, once, and shared
+    by every worker.  The function maps a 1-D array of times to amplitude
+    matrices (amp_e, amp_g) of shape (n_max+1, len(times)), which ``states``
     measures.  The eigenbasis is cast to complex once: ``vecs @ block``
     would cast it on every call, for the same bits.  BLAS gives a block of
     two or more columns the bits of the same columns of a wider product,
@@ -126,7 +127,7 @@ def _propagator(h: HamiltonianMatrix, initial: QubitBosonState):
         columns = basis @ (np.exp(-1j * np.outer(vals, times)) * coef[:, None])
         return columns[: h.n_max + 1], columns[h.n_max + 1 :]
 
-    return amplitudes
+    return lambda columns: amplitudes
 
 
 def propagate(h: HamiltonianMatrix, initial: QubitBosonState, times):
@@ -135,8 +136,8 @@ def propagate(h: HamiltonianMatrix, initial: QubitBosonState, times):
     judged as one block by ``states.stream_observables``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    whole = _propagator(h, initial)(times)
-    stream_observables(lambda: lambda _: whole, initial, times, max(times.size, 1), 2 * h.k)
+    whole = _propagator(h, initial)(times.size)(times)
+    stream_observables(lambda _: lambda _: whole, initial, times, max(times.size, 1), h.k)
     return whole
 
 
@@ -146,8 +147,6 @@ def trace_observables(h: HamiltonianMatrix, initial: QubitBosonState, times):
 
     The grid is streamed and judged by ``states.stream_observables`` in
     blocks of at most BLOCK_COLUMNS time points, after the eigen-residual
-    check of ``_propagator``, whose one function every worker shares.
+    check of ``_propagator``.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    amplitudes = _propagator(h, initial)
-    return stream_observables(lambda: amplitudes, initial, times, BLOCK_COLUMNS, 2 * h.k)
+    return stream_observables(_propagator(h, initial), initial, times, BLOCK_COLUMNS, h.k)

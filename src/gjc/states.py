@@ -157,48 +157,42 @@ def coherent_state(qubit: str, alpha: complex, n_max: int) -> QubitBosonState:
     return QubitBosonState(n_max=n_max, amp_e=zeros, amp_g=coeffs, tail_mass=tail)
 
 
-def check_leak(leak: float, n_max: int, guard: int) -> None:
-    """Raise TruncationError if ``leak``, the largest population of the top
-    ``guard`` Fock levels (see stream_observables), exceeds LEAK_TOLERANCE."""
-    if leak > LEAK_TOLERANCE:
-        guard = min(guard, n_max)
-        suggestion = 2 * n_max
-        raise TruncationError(
-            f"population {leak:.3e} in the top {guard} Fock level(s) exceeds "
-            f"{LEAK_TOLERANCE:g}; raise n_max (suggestion: {suggestion})",
-            suggested_n_max=suggestion,
-        )
-
-
 def _cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def stream_observables(make_block, initial: QubitBosonState, times, width: int, guard: int):
-    """Observables of the amplitude blocks of ``make_block`` over the 1-D
-    grid ``times``, block by block, judged against ``initial``.
+def stream_observables(make_block, initial: QubitBosonState, times, width: int, k: int):
+    """Observables of the amplitude blocks of ``make_block`` over the time grid
+    ``times``, block by block, judged against ``initial`` for photon order ``k``.
 
-    ``make_block()`` returns a function mapping a slice of ``times`` to
-    amplitude matrices of shape (n_max+1, len(slice)).  The grid is split
-    evenly into the fewest blocks of at most ``width`` time points, so no
-    block has a single column unless the grid has.  Block i runs on worker
-    i % W, W = min(MAX_WORKERS, CPUs, blocks, amplitudes // WORKER_AMPLITUDES)
-    or 1: the calling thread is worker 0 and the others are threads, each with
-    its own make_block() and a copy of the caller's context (so numpy's
-    errstate holds in them too).  Each block is squared once and reduced
-    before its worker makes the next.  Returns the four observable arrays, as
-    ``observables`` gives them for the whole grid.  A worker's exception ends
-    every worker at its next block and is raised after the join; else, after
-    the last block, raises ConfigError if any column's squared norm drifts
-    from ``initial``'s by more than _NORM_TOL, then TruncationError
-    (check_leak) on the largest population of the top ``guard`` Fock levels.
-    A NaN column passes both and stays in the trace.
+    The grid (any sequence of floats, as a 1-D array) is split evenly into the
+    fewest blocks of at most ``width`` time points, so no block has a single
+    column unless the grid has.  ``make_block(columns)``, with ``columns`` the
+    widest block of that split, returns a function mapping a block of
+    ``times`` to amplitude matrices of shape (n_max+1, len(block)).  Block i
+    runs on worker i % W, W = min(MAX_WORKERS, CPUs, blocks,
+    amplitudes // WORKER_AMPLITUDES) or 1: the calling thread is worker 0 and
+    the others are threads, each with its own make_block(columns) and a copy
+    of the caller's context (so numpy's errstate holds in them too).  Each
+    block is squared once and reduced before its worker makes the next.
+    Returns the four observable arrays, as ``observables`` gives them for the
+    whole grid.  A worker's exception ends every worker at its next block and
+    is raised after the join; else, after the last block, raises ConfigError
+    if any column's squared norm drifts from ``initial``'s by more than
+    _NORM_TOL, then TruncationError if the top 2k Fock levels (all of them, if
+    fewer) ever hold more than LEAK_TOLERANCE.  Its suggested cutoff,
+    max(2 n_max, n_max + 4k), clears them: a manifold {|e,n>, |g,n+k>} lifts
+    no population more than k above ``initial``'s levels.  A NaN column
+    passes both checks and stays in the trace.
     """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    guard = 2 * k
     n_blocks = -(-times.size // width)
     bounds = [times.size * i // max(n_blocks, 1) for i in range(n_blocks + 1)]
     n_workers = max(1, min(MAX_WORKERS, _cpus(), n_blocks, (initial.n_max + 1) * times.size // WORKER_AMPLITUDES))
-    blocks = [make_block() for _ in range(n_workers)]
+    columns = -(-times.size // max(n_blocks, 1))  # the widest block of the split
+    blocks = [make_block(columns) for _ in range(n_workers)]
     trace = np.empty((4, times.size))
     maxima = np.zeros((n_workers, 2))  # each worker's (drift, leak)
     errors = [None] * n_workers
@@ -238,7 +232,13 @@ def stream_observables(make_block, initial: QubitBosonState, times, width: int, 
     drift, leak = np.max(maxima, axis=0)
     if drift > _NORM_TOL:
         raise ConfigError(f"propagation norm drift {drift:.3e} exceeds {_NORM_TOL:g}")
-    check_leak(leak, initial.n_max, guard)
+    if leak > LEAK_TOLERANCE:
+        suggestion = max(2 * initial.n_max, initial.n_max + 2 * guard)
+        raise TruncationError(
+            f"population {leak:.3e} in the top {min(guard, initial.n_max)} Fock level(s) exceeds "
+            f"{LEAK_TOLERANCE:g}; raise n_max (suggestion: {suggestion})",
+            suggested_n_max=suggestion,
+        )
     return tuple(trace)
 
 

@@ -262,6 +262,20 @@ class TestEvolve:
         assert "truncation" in capsys.readouterr().err.lower()
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine", ["analytic", "oracle"])
+    @pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
+    def test_leak_suggestion_succeeds(self, entry, engine, tmp_path, capsys):
+        # at n_max = k the start |e, 0> feeds the top 2k levels; the
+        # suggested cutoff must clear them
+        argv = ["evolve", "--model", entry.name, "--initial", "fock:e:0", "--engine", engine]
+        out = tmp_path / "trace.csv"
+        code = main([*argv, "--nmax", str(entry.spec.k), "--out", str(out)])
+        if code == 0:
+            return
+        assert code == 3
+        suggested = re.search(r"suggestion: (\d+)\)", capsys.readouterr().err).group(1)
+        assert main([*argv, "--nmax", suggested, "--out", str(out)]) == 0
+
     def test_large_spectrum_both_engines(self, tmp_path):
         # max |E| ~ 2.4e6 at this cutoff; the eigenpair check scales with it
         out = tmp_path / "trace.csv"

@@ -144,6 +144,14 @@ def _both_levels_coherent(alpha, n_max):
     return QubitBosonState(n_max=n_max, amp_e=0.6 * coeffs, amp_g=0.8j * coeffs, tail_mass=tail)
 
 
+# (model, message, n of the start |e, n> at n_max 64), as in test_analytic's LEAKS
+LEAKS = [
+    ("jc", "population 1.000e+00 in the top 2 Fock level(s)", 62),
+    ("parity-deformed", "population 9.403e-01 in the top 2 Fock level(s)", 62),
+    ("intensity-multiboson", "population 9.999e-01 in the top 4 Fock level(s)", 59),
+]
+
+
 def _first_block(points):
     """Time points in the first block of oracle.trace_observables."""
     return points // -(-points // BLOCK_COLUMNS)
@@ -169,21 +177,15 @@ class TestStreamedTrace:
             assert streamed.shape == (4, points)
             assert np.array_equal(streamed.view(np.uint64), whole.view(np.uint64)), points
 
-    @pytest.mark.parametrize(
-        "name, message",
-        [
-            ("jc", "population 1.000e+00 in the top 2 Fock level(s)"),
-            ("parity-deformed", "population 9.403e-01 in the top 2 Fock level(s)"),
-        ],
-    )
-    def test_truncation_message_names_the_largest_leak_of_any_block(self, name, message):
-        # |e, 62> feeds the guard level |g, 63>: the population passes the
-        # tolerance in the first block and peaks in a later one
+    @pytest.mark.parametrize("name, message, level", LEAKS)
+    def test_truncation_message_names_the_largest_leak_of_any_block(self, name, message, level):
+        # the population passes the tolerance in the first block and peaks in a later one
         h, n_max = assemble(registry_model(name), 64), 64
-        initial = fock_state("e", 62, n_max)
+        initial = fock_state("e", level, n_max)
         times = np.linspace(0.0, 8.0, 5000)
-        amp_e, amp_g = oracle._propagator(h, initial)(times)
-        guard = np.sum(np.abs(amp_e[63:]) ** 2 + np.abs(amp_g[63:]) ** 2, axis=0)
+        amp_e, amp_g = oracle._propagator(h, initial)(times.size)(times)
+        lo = n_max + 1 - 2 * h.k
+        guard = np.sum(np.abs(amp_e[lo:]) ** 2 + np.abs(amp_g[lo:]) ** 2, axis=0)
         first_block = guard[: _first_block(times.size)]
         assert first_block.max() > 1e-10
         assert f"{first_block.max():.3e}" != f"{guard.max():.3e}"
@@ -219,11 +221,11 @@ class TestStreamedTrace:
         times = np.linspace(0.0, 200.0, 2001)
         if engine == "analytic":
             width = analytic.CHUNK_ELEMENTS // (n_max + 1)
-            blocks = analytic._amplitude_kernel(spec, initial, width)()
+            blocks = analytic._amplitude_kernel(spec, initial)(width)
             amp_e, amp_g = analytic.evolve_amplitudes(spec, initial, times)
         else:
             h, width = assemble(spec, n_max), BLOCK_COLUMNS
-            blocks = oracle._propagator(h, initial)
+            blocks = oracle._propagator(h, initial)(width)
             amp_e, amp_g = propagate(h, initial, times)
         norms = np.concatenate([_reduce(*blocks(times[lo : lo + width]), 2 * spec.k)[4]
                                 for lo in range(0, times.size, width)])

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from gjc import states
 from gjc.errors import ConfigError, TruncationError
 from gjc.states import (
-    LEAK_TOLERANCE,
     QubitBosonState,
-    check_leak,
     coherent_amplitudes,
     coherent_state,
     fock_state,
@@ -241,15 +239,30 @@ class TestGuardPopulation:
         amp = np.ones((1, 3), dtype=complex)
         assert np.array_equal(_reduce(amp, amp, 2)[5], np.zeros(3))
 
-    def test_check_leak_message_and_clamped_guard(self):
-        check_leak(LEAK_TOLERANCE, 8, 2)
+    @staticmethod
+    def _leak(n_max, k, population):
+        """stream_observables over one column of |g, 0> with ``population``
+        moved to |g, n_max>, the top Fock level."""
+        amp_e = np.zeros((n_max + 1, 1), dtype=complex)
+        amp_g = np.zeros_like(amp_e)
+        amp_g[0], amp_g[n_max] = math.sqrt(1.0 - population), math.sqrt(population)
+        return stream_observables(lambda columns: lambda times: (amp_e, amp_g),
+                                  fock_state("g", 0, n_max), [0.0], 1, k)
+
+    def test_leak_message_and_clamped_guard(self, monkeypatch):
+        # a population of exactly the tolerance passes (2^-34 is a square)
+        monkeypatch.setattr(states, "LEAK_TOLERANCE", 2.0**-34)
+        self._leak(8, 1, 2.0**-34)
+        monkeypatch.undo()
+        # the top 2k = 8 levels clamp to the 3 above the vacuum; the
+        # suggestion, n_max + 4k, clears them
         with pytest.raises(TruncationError) as excinfo:
-            check_leak(0.25, 3, 8)
+            self._leak(3, 4, 0.25)
         assert str(excinfo.value) == (
             "population 2.500e-01 in the top 3 Fock level(s) exceeds 1e-10; "
-            "raise n_max (suggestion: 6)"
+            "raise n_max (suggestion: 19)"
         )
-        assert excinfo.value.suggested_n_max == 6
+        assert excinfo.value.suggested_n_max == 19
 
 
 class TestStreamWorkers:
@@ -272,7 +285,8 @@ class TestStreamWorkers:
     def _stream(self, functions, times):
         """stream_observables over |g, 0>, each worker making the next of ``functions``."""
         self.monkeypatch.setattr(states, "MAX_WORKERS", len(functions))
-        return stream_observables(iter(functions).__next__, self.GROUND, times, 1, 2)
+        functions = iter(functions)
+        return stream_observables(lambda columns: next(functions), self.GROUND, times, 1, 1)
 
     def _functions(self, count, calls, scale=lambda w, t: 1.0):
         # |g, 0> times ``scale``; each call records its function, thread,
@@ -301,6 +315,21 @@ class TestStreamWorkers:
         assert len({id(thread) for thread in threads.values()}) == workers
         assert {mode for *_, mode in calls} == {"raise"}
         assert np.array_equal(np.stack(trace), np.tile([[-1.0], [0.0], [0.0], [0.0]], points))
+
+    def test_each_worker_makes_a_function_for_the_widest_block(self):
+        # 300 points at width 126 split evenly into three blocks of 100
+        made, sizes = [], []
+        functions = self._functions(2, [])
+
+        def make_block(columns):
+            made.append(columns)
+            function = functions[len(made) - 1]
+            return lambda times: sizes.append(times.size) or function(times)
+
+        self.monkeypatch.setattr(states, "MAX_WORKERS", 2)
+        stream_observables(make_block, self.GROUND, np.arange(300.0), 126, 1)
+        assert made == [100, 100]
+        assert sizes == [100, 100, 100]
 
     def test_a_workers_exception_is_raised_after_the_join(self):
         calls, running = [], threading.active_count()
