@@ -3,8 +3,9 @@ verify the operator algebra, and emit figure-ready CSV/JSON.
 
 Every output file starts with '#'-prefixed header lines carrying a format
 version and the full run manifest, so any result can be reproduced from
-the file alone.  Floats are written in fixed 17-significant-digit
-scientific notation, so identical runs give identical bytes; the oracle's
+the file alone.  Floats are written as '%.16e' writes them, 17
+significant digits in scientific notation, computed in numpy a block of
+rows at a time; identical runs give identical bytes, though the oracle's
 columns may differ in the last bits between BLAS builds or thread counts.
 """
 
@@ -42,6 +43,11 @@ EXIT_TRUNCATION = 3
 # Rows per text piece of a CSV: the table is formatted and written one
 # block at a time, so the text in memory does not grow with the table.
 CSV_BLOCK_ROWS = 256
+
+# The decimal exponents of the nonzero finite doubles, and Veltkamp's
+# splitting constant 2^27 + 1 for an error-free product.
+_E_MIN, _E_MAX = -324, 308
+_SPLIT = 134217729.0
 
 
 def _manifest(args) -> dict:
@@ -115,18 +121,176 @@ def _output(path):
         raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
+@functools.cache
+def _powers_of_ten():
+    """10^(16-E) = (hi + lo) * 2^q for E = _E_MAX + 1 down to _E_MIN - 1,
+    exact from Python ints: hi near [1, 2) with its Veltkamp halves, lo the
+    nearest double of the rest.  As rows (hi, hi_hi, hi_lo, lo), and q."""
+    rows = []
+    for p in range(15 - _E_MAX, 18 - _E_MIN):
+        q = math.floor(p * math.log2(10))
+        num, den = 10 ** max(p, 0) << max(-q, 0), 10 ** max(-p, 0) << max(q, 0)
+        h, d = (num / den).as_integer_ratio()
+        rows.append((h / d, (num * d - h * den) / (den * d), q))
+    hi, lo, q = map(np.array, zip(*rows))
+    hi_hi = hi * _SPLIT - (hi * _SPLIT - hi)
+    return np.stack([hi, hi_hi, hi - hi_hi, lo]), q
+
+
+@functools.cache
+def _ascii_words():
+    """The uint32 words of a value's 28-byte slot: ',' '-' d '.', the 16
+    digits after the point as four words "0000" to "9999", then 'e', the
+    exponent's sign and 3 digits, a newline and 2 pad bytes.  A NUL stands
+    for what a value lacks: the ',' before a row's first value, the '-'
+    without the sign bit, the exponent's hundreds digit below 100, the
+    newline after all but a row's last value.  As (the digit words, the
+    first word at d + 10 sign + 20 (no ','), the last two at E - _E_MIN +
+    633 (newline))."""
+    digit = np.arange(48, 58, dtype=np.uint8)
+    digits = np.stack(np.broadcast_arrays(*np.ix_(digit, digit, digit, digit)), axis=-1)
+    heads = "".join(f"{lead}{sign}{d}." for lead in ",\0" for sign in "\0-" for d in range(10))
+    tails = "".join(
+        f"e{'-+'[e >= 0]}{abs(e) // 100 if abs(e) >= 100 else chr(0)}{abs(e) % 100:02d}{end}\0\0"
+        for end in "\0\n"
+        for e in range(_E_MIN, _E_MAX + 1)
+    )
+    words = [np.frombuffer(text.encode("ascii"), np.uint32) for text in (heads, tails)]
+    return digits.reshape(-1, 4).view(np.uint32).ravel(), words[0], words[1].reshape(-1, 2).T.copy()
+
+
+def _scaled(f, b, E, table, q):
+    """y = f * 2^b * 10^(16-E) as a double-double (yh, yl): Dekker's product
+    of f, split by Veltkamp's method, with the table's 10^(16-E); an E past
+    the table's ends takes the end, where no double settles."""
+    p = _E_MAX + 1 - E
+    h, h_hi, h_lo, lo = table.take(p, axis=1, mode="clip")
+    f_hi = f * _SPLIT
+    f_hi -= f_hi - f
+    f_lo = f - f_hi
+    yh = f * h
+    yl = ((f_hi * h_hi - yh) + f_hi * h_lo + f_lo * h_hi) + f_lo * h_lo + f * lo
+    s = b + q.take(p, mode="clip")
+    return np.ldexp(yh, s), np.ldexp(yl, s)
+
+
+def _outside(yh, yl):
+    """+1 where yh + yl >= 10^17, -1 where it is below 10^16, else 0."""
+    return np.subtract((yh - 1e17) + yl >= 0, (yh - 1e16) + yl < 0, dtype=np.int64)
+
+
+def _digits(a):
+    """The 17 significant digits N and the exponent E of each finite a >= 0
+    as '%.16e' writes them, and the values it must leave to '%': (N, E,
+    unsure).  0 has N = E = 0; otherwise N is in [10^16, 10^17).
+
+    y = a * 10^(16-E), with E = floor(log10 a), is a double-double yh + yl
+    within 1e-14 of the exact value (_scaled); E moves by one, at most
+    twice, while y is outside [10^16, 10^17).  N = yh + rint(yl), as
+    yh >= 2^53 is an integer, and N = 10^17 carries to 10^16 at E + 1.  A
+    value whose E does not settle, or whose y is within 1e-9 of a rounding
+    half, is unsure: an exact tie rounds half to even on the exact binary
+    value, which no error bound tells from a near one.
+    """
+    table, q = _powers_of_ten()
+    zero = a == 0
+    a = np.where(zero, 2.0, a)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    f, b = np.frexp(a)
+    yh, yl = _scaled(f, b, E, table, q)
+    step = _outside(yh, yl)
+    moved = step.nonzero()[0]
+    for _ in range(2):
+        if moved.size:
+            E[moved] += step[moved]
+            yh[moved], yl[moved] = _scaled(f[moved], b[moved], E[moved], table, q)
+            step[moved] = _outside(yh[moved], yl[moved])
+            moved = moved[step[moved] != 0]
+    rounded = np.rint(yl)
+    unsure = np.abs(yl - rounded) > 0.5 - 1e-9
+    unsure[moved] = True
+    N = yh.astype(np.int64) + rounded.astype(np.int64)
+    carry = N == 10**17
+    E += carry
+    N[carry] = 10**16
+    N[zero] = 0
+    return N, E, unsure
+
+
+def _divide(n, d):
+    """n // d and n % d of integers n >= 0, by numpy's fast division by a scalar."""
+    quotient = n // d
+    return quotient, n - quotient * d
+
+
+def _csv_text(block):
+    """The CSV lines of a block, a list of (label, table) parts with the
+    same columns, all labelled or all plain, as one string: for each row,
+    its part's label and ',' padded with NULs to whole words, then a slot
+    of _ascii_words per column, and no NUL.  A labelled row's first column,
+    an integer below 2^53, keeps only its d and its E digits after the
+    point.  The unsure values of _digits take their digits and exponent from
+    '%.16e' itself, one value at a time."""
+    digits, heads, tails = _ascii_words()
+    labelled = [label is not None for label, _ in block]
+    if any(labelled) != all(labelled):
+        raise ValueError("the sections of one CSV are all labelled or all plain")
+    values = np.concatenate([table for _, table in block])
+    rows, columns = values.shape
+    N, E, unsure = _digits(np.abs(values).ravel())
+    for i in unsure.nonzero()[0].tolist():
+        mantissa, power = ("%.16e" % abs(values.flat[i])).split("e")
+        N[i], E[i] = int(mantissa.replace(".", "")), int(power)
+    N, E = N.reshape(rows, columns), E.reshape(rows, columns)
+    width = -(-max(len(label) + 1 for label, _ in block) // 4) if labelled[0] else 0
+    words = np.empty((rows, width + 7 * columns), np.uint32)
+    slots = words[:, width:]
+    first = N // 10**16
+    upper, lower = _divide(N - first * 10**16, 10**8)
+    first += 10 * np.signbit(values)
+    first[:, 0] += 20
+    slots[:, 0::7] = heads[first]
+    for group, part in enumerate(_divide(upper, 10**4) + _divide(lower, 10**4)):
+        slots[:, 1 + group :: 7] = digits[part]
+    end = E - _E_MIN
+    end[:, -1] += _E_MAX - _E_MIN + 1
+    slots[:, 5::7], slots[:, 6::7] = tails.take(end, axis=1)
+    if width:
+        start = 0
+        for label, table in block:
+            text = f"{label},".ljust(4 * width, "\0").encode("ascii")
+            words[start : start + table.shape[0], :width] = np.frombuffer(text, np.uint32)
+            start += table.shape[0]
+        number = slots[:, :7].view(np.uint8)
+        number[:, 3] = number[:, 20:25] = 0
+        number[:, 4:20][np.arange(16) >= E[:, :1]] = 0
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_rows(sections):
-    """The lines of every (row format, table) section as text pieces of at
-    most CSV_BLOCK_ROWS lines, each one `%` format of a block's values."""
-    for row, table in sections:
-        for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
-            block = table[start : start + CSV_BLOCK_ROWS]
-            yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+    """The lines of every (label, table) section, in order, as text pieces
+    of at most CSV_BLOCK_ROWS lines; a block holds the rows of as many
+    sections as fit.  A labelled section writes `label,n_lower,` before each
+    row's values, n_lower being the table's first column."""
+    block, rows = [], 0
+    for label, table in sections:
+        start = 0
+        while start < table.shape[0]:
+            part = table[start : start + CSV_BLOCK_ROWS - rows]
+            block.append((label, part))
+            start, rows = start + part.shape[0], rows + part.shape[0]
+            if rows == CSV_BLOCK_ROWS:
+                yield _csv_text(block)
+                block, rows = [], 0
+    if block:
+        yield _csv_text(block)
 
 
 def _write_csv(sink, manifest: dict, columns: str, sections) -> None:
     """Header lines, the column row and one line per table row of each
-    (row format, table) section, written to `sink` CSV_BLOCK_ROWS rows at a time.
+    (label, table) section, written to `sink` CSV_BLOCK_ROWS rows at a time
+    by _csv_rows: each value as '%.16e' writes it, after `label,n_lower,`
+    in a labelled section, whose table holds n_lower in its first column.
 
     A non-finite value means the model overflowed at this cutoff, or, in
     an evolution, the phase t*E at this final time; every table is
@@ -211,8 +375,7 @@ def cmd_spectrum(args, sink) -> int:
     manifold_rows = np.column_stack(
         [np.arange(m.beta.size), m.n_total, m.beta, m.rabi_frequency, m.e_plus, m.e_minus]
     )
-    values = ",%.16e" * 5 + "\n"
-    sections = [("dark,%d" + values, dark_rows), ("manifold,%d" + values, manifold_rows)]
+    sections = [("dark", dark_rows), ("manifold", manifold_rows)]
     _write_csv(sink, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", sections)
     return EXIT_OK
 
@@ -237,8 +400,7 @@ def cmd_evolve(args, sink) -> int:
     if args.engine == "both":
         columns += ["resid_sigma_z", "resid_n_mean", "resid_x_mean", "resid_y_mean"]
         data += tuple(np.abs(a - b) for a, b in zip(data, oracle_data))
-    sections = [(",".join(["%.16e"] * len(columns)) + "\n", np.column_stack([times, *data]))]
-    _write_csv(sink, _manifest(args), ",".join(columns), sections)
+    _write_csv(sink, _manifest(args), ",".join(columns), [(None, np.column_stack([times, *data]))])
     return EXIT_OK
 
 

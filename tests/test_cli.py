@@ -1,7 +1,9 @@
+import importlib.util
 import io
 import json
 import math
 import os
+import pathlib
 import re
 import stat
 import subprocess
@@ -10,12 +12,19 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gjc
 from gjc import analytic, cli, oracle
 from gjc.cli import build_parser, main, parse_initial
 from gjc.errors import ConfigError
 from gjc.model import ModelSpec, NonlinearFn, registry, registry_model
+
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+_spec = importlib.util.spec_from_file_location("check_csv_digits", TOOLS / "check_csv_digits.py")
+check_csv_digits = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_csv_digits)
 
 
 def read_csv(path):
@@ -729,13 +738,6 @@ class TestErrors:
         assert err.splitlines() == ["error: cannot write to stdout: No space left on device"]
 
 
-def _row_format(label, table):
-    """The writer's row format of a section: a labelled table's first column
-    is its row number, written after the label."""
-    floats = ",".join(["%.16e"] * (table.shape[1] - (label is not None))) + "\n"
-    return floats if label is None else f"{label},%d," + floats
-
-
 def _one_shot_csv(manifest, columns, sections):
     """The CSV text as one join of every line, each formatted on its own:
     the reference for the streamed writer.  A section is (label, table)."""
@@ -752,26 +754,33 @@ def _one_shot_csv(manifest, columns, sections):
 
 
 class TestStreamedCsv:
-    """_write_csv formats and writes CSV_BLOCK_ROWS rows of a (row format,
-    table) section at a time; its bytes are those of the one-shot join, as
-    text and through _output to a file."""
+    """_write_csv formats and writes CSV_BLOCK_ROWS rows of (label, table)
+    sections at a time; its bytes are those of the one-shot join, as text
+    and through _output to a file.  The tables mix scaled normals, random
+    bit patterns, edge values and zeros of both signs, and a labelled table's
+    row numbers have 1 to 7 digits, as `spectrum --nmax 1000000` writes."""
 
     B = cli.CSV_BLOCK_ROWS
     MANIFEST = {"mode": "spectrum", "model": "jc", "n_max": 8}
+    EDGES = check_csv_digits.edge_values()
 
-    @staticmethod
-    def _table(rows, labelled=False, seed=0):
+    @classmethod
+    def _table(cls, rows, labelled=False, seed=0):
         rng = np.random.default_rng([rows, seed])
-        scale = 10.0 ** rng.integers(-300, 300, size=(rows, 3))
-        table = rng.standard_normal((rows, 3)) * scale
+        scale = 10.0 ** rng.integers(-300, 300, size=rows)
+        bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64)
+        edges = rng.choice(cls.EDGES, size=rows)
+        table = np.column_stack([rng.standard_normal(rows) * scale, np.where(np.isfinite(bits), bits, 0.0), edges])
         table[::7, 1] = 0.0
+        table[3::7, 0] = -0.0
         if labelled:
-            table = np.column_stack([np.arange(rows), table])
+            digits = 1 + np.arange(rows) % 7
+            table = np.column_stack([rng.integers(10 ** (digits - 1) - (digits == 1), 10**digits), table])
         return table
 
     def _write(self, sink, sections):
         """_write_csv of (label, table) sections; returns the reference text."""
-        cli._write_csv(sink, self.MANIFEST, "a,b,c", [(_row_format(*s), s[1]) for s in sections])
+        cli._write_csv(sink, self.MANIFEST, "a,b,c", sections)
         return _one_shot_csv(self.MANIFEST, "a,b,c", sections)
 
     def _write_file(self, out, sections):
@@ -798,7 +807,7 @@ class TestStreamedCsv:
         "first, second", [(1, 2 * B + 1), (B - 1, 2), (B, B + 1), (B + 1, B - 1), (0, B), (B + 3, 0)]
     )
     def test_two_sections_are_the_one_shot_join(self, first, second, tmp_path):
-        # as cmd_spectrum writes them: each section starts a block of its own
+        # as cmd_spectrum writes them: a block holds the rows of both sections
         sections = [("dark", self._table(first, True)), ("manifold", self._table(second, True, 1))]
         out = tmp_path / "table.csv"
         expected = self._write_file(out, sections)
@@ -838,6 +847,55 @@ class TestStreamedCsv:
         assert len(seen) == 1
         assert out.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [out]
+
+
+def _written(values):
+    """The lines _csv_rows writes for a plain one-column table of values."""
+    return "".join(cli._csv_rows([(None, np.asarray(values, np.float64).reshape(-1, 1))])).splitlines()
+
+
+class TestValueDigits:
+    """Every finite double is written as f"{v:.16e}" writes it: digits and
+    exponent from the vectorized path, and from '%' for the values it
+    cannot certify (exact ties, an exponent that does not settle)."""
+
+    EDGE_SETS = check_csv_digits.edge_sets()
+
+    @pytest.mark.parametrize("name", list(EDGE_SETS))
+    def test_edge_values(self, name):
+        values = self.EDGE_SETS[name]
+        assert _written(values) == [f"{v:.16e}" for v in values.tolist()]
+
+    def test_random_bit_patterns(self):
+        values = np.random.default_rng(25).integers(0, 2**64, size=10**5, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert _written(values) == [f"{v:.16e}" for v in values.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_any_finite_floats(self, values):
+        assert _written(values) == [f"{v:.16e}" for v in values]
+
+    def test_unsettled_exponent_falls_back_to_printf(self, monkeypatch):
+        # every power of ten off by 2^10: no exponent settles in two moves,
+        # and each value, zeros too, takes its digits from '%'
+        table, q = cli._powers_of_ten()
+        monkeypatch.setattr(cli, "_powers_of_ten", lambda: (table, q + 10))
+        values = check_csv_digits.edge_values()
+        N, E, unsure = cli._digits(np.abs(values))
+        assert unsure.all()
+        assert _written(values) == [f"{v:.16e}" for v in values.tolist()]
+
+    def test_certified_values_need_no_printf(self):
+        # the exact ties are unsure; a figures trace's values are not
+        values = np.concatenate([self.EDGE_SETS["exact-ties"], np.linspace(0.0, 200.0, 2001)])
+        unsure = cli._digits(np.abs(values))[2]
+        assert unsure.tolist() == [True] * self.EDGE_SETS["exact-ties"].size + [False] * 2001
+
+    def test_mixed_sections_are_refused(self):
+        table = np.ones((2, 3))
+        with pytest.raises(ValueError, match="all labelled or all plain"):
+            list(cli._csv_rows([(None, table), ("dark", table)]))
 
 
 class TestOutputOpenedFirst:

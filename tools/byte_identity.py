@@ -3,14 +3,15 @@
     python3 tools/byte_identity.py PARENT_TREE
 
 Runs every command of one pass of the benchmark's `figures`, `scale` and
-`sweep` workloads (`perfbench/workloads.py` `build_plan`), seeds 1-4,
-in-process through `gjc.cli.main`: once against this tree's `src` and once
-against `PARENT_TREE/src`.  Each tree runs in its own interpreter, in its
-own empty temporary working directory, so the relative paths that outputs
-carry (a `--config` document's, for example) are the same, and at one BLAS
-thread, since the oracle's bytes depend on the thread count.  Every output
-file, stdout, stderr and exit code is compared.  One line is printed per
-difference; the exit code is 1 on any difference and 0 otherwise.
+`sweep` workloads (`perfbench/workloads.py` `build_plan`), seeds 1-4, and
+the commands of EXTRA, in-process through `gjc.cli.main`: once against
+this tree's `src` and once against `PARENT_TREE/src`.  Each tree runs in
+its own interpreter, in its own empty temporary working directory, so the
+relative paths that outputs carry (a `--config` document's, for example)
+are the same, and at one BLAS thread, since the oracle's bytes depend on
+the thread count.  Every output file, stdout, stderr and exit code is
+compared.  One line is printed per difference; the exit code is 1 on any
+difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("figures", "scale", "sweep")
 SEEDS = (1, 2, 3, 4)
 BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# Commands outside the workloads whose CSVs reach other corners of the
+# writer: a negative and a one- or two-point grid, the oracle alone, exact
+# zeros, 5-digit row numbers over many blocks, and values up to e+14.
+EXTRA = (
+    "evolve --model jc --nmax 64 --tmax -5 --engine both",
+    "evolve --model jc --nmax 64 --points 1 --engine both",
+    "evolve --model jc --nmax 64 --points 2 --engine both",
+    "evolve --model kerr-two-photon --nmax 128 --engine oracle",
+    "evolve --model jc --nmax 64 --initial fock:e:0 --engine both",
+    "spectrum --model jc --nmax 20000",
+    "spectrum --model q-deformed --nmax 600",
+)
 
 
 def run_commands(src: Path, records_file: Path) -> None:
@@ -41,23 +54,27 @@ def run_commands(src: Path, records_file: Path) -> None:
 
     if not Path(gjc.cli.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"gjc imported from {gjc.cli.__file__}, not from {src}")
+    commands = [
+        [arg.replace("{pass}", "1") for arg in command["argv"]]
+        for workload in WORKLOADS
+        for seed in SEEDS
+        for command in workloads.build_plan(workload, seed, f"{workload}-{seed}")["commands"]
+    ]
+    commands += [[*extra.split(), "--out", f"extra/{i}.csv"] for i, extra in enumerate(EXTRA)]
     records = []
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            for command in workloads.build_plan(workload, seed, f"{workload}-{seed}")["commands"]:
-                argv = [arg.replace("{pass}", "1") for arg in command["argv"]]
-                Path(argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = gjc.cli.main(argv)
-                    except SystemExit as exc:
-                        code = exc.code
-                    except Exception as exc:  # a traceback is an outcome to compare
-                        code = f"{type(exc).__name__}: {exc}"
-                records.append(
-                    {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-                )
+    for argv in commands:
+        Path(argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = gjc.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback is an outcome to compare
+                code = f"{type(exc).__name__}: {exc}"
+        records.append(
+            {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        )
     records_file.write_text(json.dumps(records))
 
 
