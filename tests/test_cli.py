@@ -892,11 +892,6 @@ class TestValueDigits:
         unsure = cli._digits(np.abs(values))[2]
         assert unsure.tolist() == [True] * self.EDGE_SETS["exact-ties"].size + [False] * 2001
 
-    def test_mixed_sections_are_refused(self):
-        table = np.ones((2, 3))
-        with pytest.raises(ValueError, match="all labelled or all plain"):
-            list(cli._csv_rows([(None, table), ("dark", table)]))
-
 
 class TestOutputOpenedFirst:
     """--out is opened before the work: a destination that cannot be

@@ -1,17 +1,16 @@
 """Check the CSV writer's digits against Python's own '%.16e'.
 
-    python3 tools/check_csv_digits.py [--count N] [--seed S]
+    python3 tools/check_csv_digits.py
 
-Writes the finite ones of N seeded random 64-bit patterns (default
-2 * 10^7) and every value of `edge_values()` through `gjc.cli._csv_rows`,
-one value per line, 10^5 values at a time, and compares each line with
+Writes the finite ones of COUNT random 64-bit patterns drawn with SEED
+and every value of `edge_values()` through `gjc.cli._csv_rows`, one value
+per line, CHUNK values at a time, and compares each line with
 `'%.16e' % value`.  Prints the first mismatches, then one summary line;
 the exit code is 1 on any mismatch and 0 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -21,6 +20,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gjc import cli  # noqa: E402
 
+COUNT = 2 * 10**7
+SEED = 0
 CHUNK = 10**5
 SHOWN = 20
 
@@ -70,17 +71,13 @@ def mismatches(values: np.ndarray) -> list:
     return [(value, line, want) for value, line, want in pairs if line != want]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=2 * 10**7, help="random bit patterns to draw")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+def main() -> int:
     start = time.perf_counter()
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
     edges = edge_values()
     found, checked = mismatches(edges), edges.size
-    for done in range(0, args.count, CHUNK):
-        bits = rng.integers(0, 2**64, size=min(CHUNK, args.count - done), dtype=np.uint64)
+    for done in range(0, COUNT, CHUNK):
+        bits = rng.integers(0, 2**64, size=min(CHUNK, COUNT - done), dtype=np.uint64)
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         found += mismatches(values)
