@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import ModelSpec, tabulate
+from .model import ModelSpec
 
 
 def ladder_product(n, k: int):
@@ -57,13 +57,14 @@ def build_operator_set(spec: ModelSpec, n_max: int) -> dict:
     the anticommutator {Q^dag, Q} in its exact (untruncated) diagonal form,
     f(m)^2 (m+k)!/m! on both slots of manifold m, vanishing on the dark g
     levels below k.  N = n + k*sigma_z/2 and B = k*sigma_z/2 are diagonal.
+    f is the first table of ``spec.validate_range(n_max)``.
     """
     k = spec.k
     if n_max < k:
         raise ConfigError(f"n_max={n_max} must be >= k={k}")
     levels = _slot_levels(n_max, k)
     present = (levels >= 0) & (levels <= n_max)
-    f = tabulate(spec.f, n_max, "coupling profile f")
+    f = spec.validate_range(n_max)[0]
     m = np.arange(n_max + 1)
     energy = np.zeros(n_max + k + 1)
     # float_power squares through libm's pow, as Python's f**2 does; the

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ladder_factor
+from .errors import refuse_overflow
 from .model import ModelSpec
 from .states import QubitBosonState, stream_observables
 
@@ -126,7 +127,8 @@ def manifolds(spec: ModelSpec, model_table) -> Manifolds:
              + (4 g^2 / k^2) * (n+k)!/n! * f(n)^2,          N = n + k/2,
     tan(beta) = coupling / detuning via atan2, with beta in [0, pi] for
     g >= 0 (wrapped into [0, 2pi) for a negative coupling).  ``model_table``
-    is the (f, F, G) of ``spec.validate_range(n_max)``.
+    is the (f, F, G) of ``spec.validate_range(n_max)``; a block that
+    overflows there raises ConfigError.
     """
     k = spec.k
     f, F, G = model_table
@@ -141,12 +143,14 @@ def manifolds(spec: ModelSpec, model_table) -> Manifolds:
     beta[beta < 0.0] += 2.0 * math.pi
     n_total = np.arange(nb) + k / 2.0
     phase_rate = spec.omega * n_total + center
+    e_plus, e_minus = phase_rate + 0.5 * k * rabi, phase_rate - 0.5 * k * rabi
+    refuse_overflow(f.size - 1, beta, e_plus, e_minus)
     return Manifolds(
         n_total=n_total,
         beta=beta,
         rabi_frequency=rabi,
-        e_plus=phase_rate + 0.5 * k * rabi,
-        e_minus=phase_rate - 0.5 * k * rabi,
+        e_plus=e_plus,
+        e_minus=e_minus,
         phase_rate=phase_rate,
     )
 
@@ -203,6 +207,7 @@ def _amplitude_kernel(spec: ModelSpec, initial: QubitBosonState):
     model_table = spec.validate_range(n_max)
     table = manifolds(spec, model_table)
     diag_e, diag_g = _diagonals(spec, *model_table[1:])
+    refuse_overflow(n_max, diag_e, diag_g)
     n_pairs = table.beta.size
     cos_h, sin_h = dressed_states(table)[:, 0].T
     ce = initial.amp_e[:n_pairs]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytic, oracle
 from .algebra import verify_relations
-from .errors import ConfigError, TruncationError
+from .errors import ConfigError, TruncationError, refuse_overflow
 from .model import DEFAULT_N_MAX, load_model, registry, registry_model
 from .states import QubitBosonState, coherent_state, fock_state
 
@@ -293,16 +293,17 @@ def _write_csv(sink, manifest: dict, columns: str, sections) -> None:
     in a labelled section, whose table holds n_lower in its first column.
 
     A non-finite value means the model overflowed at this cutoff, or, in
-    an evolution, the phase t*E at this final time; every table is
-    checked first, and nothing is written then.
+    an evolution, whose engines refuse an overflowing model, the phase
+    t*E at this final time; every table is checked first, and nothing is
+    written then.
     """
-    if not all(np.isfinite(table).all() for _, table in sections):
-        n_max = manifest["n_max"]
-        if "t_max" in manifest:
-            cause = f"t*E overflows at --tmax {manifest['t_max']!r} with --nmax {n_max}"
-        else:
-            cause = f"the model overflows at n_max={n_max}"
-        raise ConfigError(f"non-finite result: {cause}")
+    tables = [table for _, table in sections]
+    if "t_max" not in manifest:
+        refuse_overflow(manifest["n_max"], *tables)
+    elif not all(np.isfinite(table).all() for table in tables):
+        raise ConfigError(
+            f"non-finite result: t*E overflows at --tmax {manifest['t_max']!r} with --nmax {manifest['n_max']}"
+        )
     manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     header = f"# format: {FORMAT_VERSION}\n# manifest: {manifest_json}\n{columns}\n"
     sink.write(header)
@@ -312,7 +313,7 @@ def _write_csv(sink, manifest: dict, columns: str, sections) -> None:
 def _resolve_model(args):
     """The spec of --model or --config, and the one --nmax >= k check."""
     if args.config is not None:
-        spec = load_model(pathlib.Path(args.config), n_max=args.n_max)
+        spec = load_model(pathlib.Path(args.config))
     else:
         spec = registry_model(args.model)
     if args.n_max < spec.k:

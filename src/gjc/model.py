@@ -192,16 +192,18 @@ class NonlinearFn:
 
 
 def tabulate(fn: NonlinearFn, n_max: int, label: str) -> np.ndarray:
-    """fn at the Python ints 0..n_max as a float64 array.
+    """fn at the Python ints 0..n_max as a float64 array, from the kind's
+    value function (the bits of fn(n)); ``ModelSpec.validate_range`` calls it.
 
     Raises ConfigError naming ``label`` and n if a value raises or is not
     finite.  Every builtin kind gives the same double at n and float(n), so
     these values equal the scalar ones of ``analytic.aux_two_point``.
     """
+    value, params = _KINDS[fn.kind].value, fn.params
     values, error = [], None
     try:
         for n in range(n_max + 1):
-            values.append(fn(n))
+            values.append(value(params, n))
     except (ValueError, OverflowError) as exc:
         error = exc
     values = np.array(values, dtype=float)
@@ -266,8 +268,9 @@ class ModelSpec:
     def validate_range(self, n_max: int):
         """f, F and G on the truncated range 0..n_max, each a float64 array.
 
-        The one full evaluation of the model: every value must be finite
-        and f non-negative, or ConfigError names the function and n.
+        The one evaluation of the model at a cutoff, once per engine: every
+        value must be finite and f non-negative, or ConfigError names the
+        function and n.
         """
         f = tabulate(self.f, n_max, "coupling profile f")
         negative = np.flatnonzero(f < 0.0)
@@ -314,12 +317,9 @@ class ModelSpec:
         )
 
 
-def load_model(source, n_max: int = DEFAULT_N_MAX) -> ModelSpec:
-    """Load and eagerly validate a model document.
-
-    ``source`` may be a dict or a path to a JSON file.  Every invariant,
-    including the n-dependent ones over 0..n_max, is checked before the
-    spec is returned.
+def load_model(source) -> ModelSpec:
+    """Parse a model document, a dict or a path to a JSON file; its values
+    over a cutoff are checked by ``ModelSpec.validate_range``, in each engine.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -328,9 +328,7 @@ def load_model(source, n_max: int = DEFAULT_N_MAX) -> ModelSpec:
             raise ConfigError(f"cannot read model file {source}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model document is not valid JSON: {exc}") from exc
-    spec = ModelSpec.from_dict(source)
-    spec.validate_range(n_max)
-    return spec
+    return ModelSpec.from_dict(source)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ladder_factor
-from .errors import ConfigError
+from .errors import ConfigError, refuse_overflow
 from .model import ModelSpec
 from .states import QubitBosonState, stream_observables
 
@@ -70,7 +70,8 @@ def assemble(spec: ModelSpec, n_max: int) -> HamiltonianMatrix:
     Diagonal: omega*n + omega0/2 + F(n) + G(n) on the excited row and
     omega*n - omega0/2 - F(n) + G(n) on the ground row.  Off-diagonal:
     g * f(n) * sqrt((n+k)!/n!) between |e,n> and |g,n+k>, placed
-    symmetrically so H == H.T holds exactly.
+    symmetrically so H == H.T holds exactly.  An entry that overflows raises
+    ConfigError.
     """
     if n_max < spec.k:
         raise ConfigError(f"n_max={n_max} must be >= k={spec.k}")
@@ -82,6 +83,7 @@ def assemble(spec: ModelSpec, n_max: int) -> HamiltonianMatrix:
     mat[g, g] = spec.omega * n - spec.omega0 / 2.0 - F + G
     lower = n[: n_max - spec.k + 1]
     coupling = spec.g * f[lower] * ladder_factor(lower, spec.k)
+    refuse_overflow(n_max, np.diagonal(mat), coupling)
     mat[e[lower], g[lower + spec.k]] = coupling
     mat[g[lower + spec.k], e[lower]] = coupling
     return HamiltonianMatrix(n_max=n_max, k=spec.k, mat=mat)
@@ -91,13 +93,14 @@ def spectrum(h: HamiltonianMatrix):
     """Ascending eigenvalues and eigenvector columns of the full matrix.
 
     Every eigenpair is residual-checked against a bound that scales with
-    the largest |eigenvalue| (roundoff in H v grows with ||H||); a failure
-    raises ConfigError rather than silently degrading the result.
+    the largest |eigenvalue| (roundoff in H v grows with ||H||); a failure,
+    or a NaN residual, raises ConfigError rather than silently degrading
+    the result.
     """
     vals, vecs = np.linalg.eigh(h.mat)
     residual = np.max(np.abs(h.mat @ vecs - vecs * vals))
     bound = _EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(vals))))
-    if residual > bound:
+    if not residual <= bound:  # also a NaN
         raise ConfigError(f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}")
     return vals, vecs
 

@@ -22,7 +22,7 @@ from gjc.analytic import (
     sigma_z_fock,
     trace_observables,
 )
-from gjc.errors import TruncationError
+from gjc.errors import ConfigError, TruncationError
 from gjc.model import (
     ModelSpec,
     ONE,
@@ -44,6 +44,11 @@ from gjc.states import (
 )
 
 JC = registry_model("jc")
+# F = -G with G(n) = 1.7e308 - 2.5e307 n: the ground diagonal 2 G(n) overflows
+# on the dark levels n < k = 4 alone, and every manifold of n_max = 6 is finite.
+DARK_OVERFLOW = ModelSpec(
+    omega=1.0, omega0=1.0, g=0.1, k=4, f=ONE, F=poly(-1.7e308, 2.5e307), G=poly(1.7e308, -2.5e307)
+)
 
 
 def _with_g(spec, g):
@@ -113,6 +118,14 @@ class TestAuxBinomial:
 
 
 class TestManifold:
+    def test_overflowing_blocks_are_refused(self):
+        # (m+k)!/m! overflows from k = 171 on: every Rabi frequency is infinite
+        spec = load_model(JC.to_dict() | {"k": 400})
+        with np.errstate(over="ignore"), pytest.raises(
+            ConfigError, match=r"^non-finite result: the model overflows at n_max=450$"
+        ):
+            manifolds(spec, spec.validate_range(450))
+
     def test_jc_resonance_vacuum(self):
         m = manifolds(JC, JC.validate_range(1))
         assert m.rabi_frequency[0] == pytest.approx(2 * JC.g, rel=1e-15)
@@ -185,6 +198,13 @@ class TestDressedStates:
 
 
 class TestDarkLevels:
+    def test_overflowing_level_is_refused_by_the_evolution(self):
+        assert np.isfinite(manifolds(DARK_OVERFLOW, DARK_OVERFLOW.validate_range(6)).e_plus).all()
+        with np.errstate(over="ignore"), pytest.raises(
+            ConfigError, match=r"^non-finite result: the model overflows at n_max=6$"
+        ):
+            trace_observables(DARK_OVERFLOW, fock_state("e", 0, 6), [0.0, 1.0])
+
     def test_count_equals_k(self):
         spec = registry_model("stark-two-photon")
         assert len(dark_levels(spec, spec.validate_range(8))) == 2
@@ -615,7 +635,7 @@ def test_phase_rate_is_two_point_form_for_poly_documents(omega, k, f_coeffs, g_c
         "F": {"kind": "Poly", "params": f_coeffs},
         "G": {"kind": "Poly", "params": g_coeffs},
     }
-    _assert_phase_rate_is_two_point(load_model(doc, n_max=40), 40)
+    _assert_phase_rate_is_two_point(load_model(doc), 40)
 
 
 @pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gjc
-from gjc import analytic, cli, oracle
+from gjc import analytic, cli, model, oracle
 from gjc.cli import build_parser, main, parse_initial
 from gjc.errors import ConfigError
-from gjc.model import ModelSpec, NonlinearFn, registry, registry_model
+from gjc.model import ModelSpec, registry, registry_model
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 _spec = importlib.util.spec_from_file_location("check_csv_digits", TOOLS / "check_csv_digits.py")
@@ -476,6 +476,32 @@ class TestErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: non-finite result: t*E overflows at --tmax 1e+308 with --nmax 64"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle", "both"])
+    @pytest.mark.parametrize(
+        "doc, n_max",
+        [
+            # (m+400)!/m! overflows: every coupling is infinite
+            ({"k": 400, "f": {"kind": "One", "params": []}}, 450),
+            # F = -G, and the ground diagonal 2 G(n) overflows on the dark levels alone
+            ({"k": 4, "F": {"kind": "Poly", "params": [-1.7e308, 2.5e307]},
+              "G": {"kind": "Poly", "params": [1.7e308, -2.5e307]}}, 6),
+        ],
+        ids=["coupling", "dark-levels"],
+    )
+    def test_overflowing_model_names_nmax_not_tmax(self, engine, doc, n_max, tmp_path, capsys):
+        # the model overflows whatever the final time: --tmax is not at fault
+        zero = {"kind": "Zero", "params": []}
+        doc = {"omega": 1.0, "omega0": 1.0, "g": 0.1, "f": {"kind": "One", "params": []},
+               "F": zero, "G": zero, **doc}
+        cfg, out = tmp_path / "model.json", tmp_path / "trace.csv"
+        cfg.write_text(json.dumps(doc))
+        argv = ["evolve", "--config", str(cfg), "--nmax", str(n_max), "--tmax", "1e-300",
+                "--initial", "fock:e:0", "--engine", engine]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: non-finite result: the model overflows at n_max={n_max}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
@@ -1063,37 +1089,74 @@ class TestOutputOpenedFirst:
 
 
 class TestOneEvaluationPerEngine:
-    """f, F and G are evaluated once over 0..n_max per engine: the analytic
-    one (manifolds with dark and top levels), the oracle's assembly, and f
-    alone for the algebra."""
+    """f, F and G are each tabulated once over 0..n_max per engine: the
+    analytic one (manifolds with dark and top levels), the oracle's
+    assembly and the algebra's operator set, for --model and --config alike;
+    load_model only parses."""
 
     N_MAX = 64
+    LABELS = ("coupling profile f", "F", "G")
+    # k = 1, one non-polynomial kind per function
+    DOCUMENT = {
+        "omega": 1.0, "omega0": 1.0, "g": 0.1, "k": 1,
+        "f": {"kind": "PowerN", "params": [0.5]},
+        "F": {"kind": "AlgebraicSqrt", "params": [0.5, 2.0, 1.0]},
+        "G": {"kind": "Kerr", "params": [0.01]},
+    }
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        count = [0]
-        evaluate = NonlinearFn.__call__
+    def tables(self, monkeypatch, tmp_path):
+        """Runs a command in tmp_path and returns its tabulate calls, as
+        {(label, n_max): count}."""
+        # counted in gjc.model, so no other module may hold its own reference
+        assert not any(hasattr(m, "tabulate") for m in (analytic, cli, gjc.algebra, oracle))
+        tabulate = model.tabulate
 
-        def counting(fn, n):
-            count[0] += 1
-            return evaluate(fn, n)
+        def run(argv):
+            counts = {}
 
-        monkeypatch.setattr(NonlinearFn, "__call__", counting)
-        return count
+            def counting(fn, n_max, label):
+                counts[label, n_max] = counts.get((label, n_max), 0) + 1
+                return tabulate(fn, n_max, label)
+
+            monkeypatch.setattr(model, "tabulate", counting)
+            assert main([*argv, "--nmax", str(self.N_MAX), "--out", "result.out"]) == 0
+            monkeypatch.setattr(model, "tabulate", tabulate)
+            return counts
+
+        (tmp_path / "model.json").write_text(json.dumps(self.DOCUMENT))
+        monkeypatch.chdir(tmp_path)
+        return run
+
+    def once_each(self, engines):
+        return {(label, self.N_MAX): engines for label in self.LABELS}
 
     @pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
-    def test_call_counts(self, entry, calls, tmp_path):
-        n = self.N_MAX + 1
-        model = ["--model", entry.name, "--nmax", str(self.N_MAX)]
-        out = ["--out", str(tmp_path / "result.out")]
-        assert main(["spectrum", *model, *out]) == 0
-        assert calls[0] == 3 * n  # one model table
-        calls[0] = 0
-        assert main(["evolve", *model, "--engine", "both", "--points", "11", *out]) == 0
-        assert calls[0] == 6 * n  # one per engine
-        calls[0] = 0
-        assert main(["verify", *model, *out]) == 0
-        assert calls[0] == n
+    def test_call_counts(self, entry, tables):
+        model_args = ["--model", entry.name]
+        assert tables(["spectrum", *model_args]) == self.once_each(1)  # one model table
+        argv = ["evolve", *model_args, "--engine", "both", "--points", "11"]
+        assert tables(argv) == self.once_each(2)  # one per engine
+        assert tables(["verify", *model_args]) == self.once_each(1)
+
+    @pytest.mark.parametrize("source", [["--model", "kerr-two-photon"], ["--config", "model.json"]],
+                             ids=["model", "config"])
+    @pytest.mark.parametrize(
+        "command, engines",
+        [
+            (["spectrum"], 1),
+            (["evolve", "--engine", "analytic"], 1),
+            (["evolve", "--engine", "oracle"], 1),
+            (["evolve", "--engine", "both"], 2),
+            (["verify"], 1),
+        ],
+        ids=["spectrum", "evolve-analytic", "evolve-oracle", "evolve-both", "verify"],
+    )
+    def test_each_function_once_per_engine(self, command, engines, source, tables):
+        argv = [*command, *source]
+        if command[0] == "evolve":
+            argv += ["--initial", "fock:e:2", "--points", "11"]
+        assert tables(argv) == self.once_each(engines)
 
 
 class TestParseInitial:

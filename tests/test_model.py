@@ -1,5 +1,9 @@
+import importlib.util
 import json
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from gjc import model
 from gjc.errors import ConfigError
 from gjc.model import (
+    DEFAULT_N_MAX,
     ONE,
     SQRT_N,
     ZERO,
@@ -113,7 +118,7 @@ class TestValidation:
         doc = registry_model("jc").to_dict()
         doc["f"] = {"kind": "Poly", "params": [-1.0]}
         with pytest.raises(ConfigError, match="non-negative"):
-            load_model(doc)
+            load_model(doc).validate_range(DEFAULT_N_MAX)
 
 
 class TestLoadModel:
@@ -278,6 +283,72 @@ class TestTabulate:
         fn = NonlinearFn("QBracketSqrt", (0.9,))
         with pytest.raises(ConfigError, match=r"is not finite at n=6722$"):
             tabulate(fn, 8000, "coupling profile f")
+
+
+def _load_random_function():
+    """The benchmark's in-domain generator of function documents, loaded by path."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(perfbench))  # workloads imports its sibling physics
+    try:
+        spec = importlib.util.spec_from_file_location("gjc_bench_workloads", perfbench / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(perfbench))
+    return module.random_function
+
+
+random_function = _load_random_function()
+
+# Parameters at the edges of each kind's domain, and a few whose values
+# overflow, are not finite or raise within 0..400.
+EDGE_PARAMS = {
+    "Zero": [[]],
+    "One": [[]],
+    "SqrtN": [[]],
+    "Poly": [[0.0], [1.0, -1.0], [0.5] * (model.MAX_POLY_DEGREE + 1), [1e304, 0.0, 1e304]],
+    "PowerN": [[0.0], [1.0], [float(model.MAX_POLY_DEGREE)], [0.5], [135.0]],
+    "Kerr": [[0.0], [-0.1], [1e305]],
+    "QBracketSqrt": [[1.0], [0.8], [1e-3]],
+    "Parity": [[0.0], [-0.5], [1e308]],
+    "AlgebraicSqrt": [[0.0, 1.0, 1.0], [0.9, 2.5, 1.0], [0.5, 1.0, 1.0], [0.99, 3.0, 1.0]],
+    "LinearStark": [[0.0], [-0.5], [1e308]],
+}
+assert set(EDGE_PARAMS) == set(model._KINDS)
+
+
+@st.composite
+def function_documents(draw):
+    kind = draw(st.sampled_from(sorted(EDGE_PARAMS)))
+    if draw(st.booleans()):
+        return {"kind": kind, "params": draw(st.sampled_from(EDGE_PARAMS[kind]))}
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_function(rng, kind, draw(st.integers(0, 3)), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=function_documents(), n_max=st.integers(0, 400))
+def test_tabulate_gives_the_scalar_values(doc, n_max):
+    # the kind's value function gives the bits, the exceptions and the first
+    # fault of the scalar fn(n) at each level
+    fn = NonlinearFn.from_dict(doc)
+    values, error = [], None
+    try:
+        for n in range(n_max + 1):
+            values.append(fn(n))
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    values = np.array(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        with pytest.raises(ConfigError, match=rf"^f is not finite at n={bad[0]}$"):
+            tabulate(fn, n_max, "f")
+    elif error is not None:
+        with pytest.raises(ConfigError) as raised:
+            tabulate(fn, n_max, "f")
+        assert str(raised.value) == f"f invalid at n={values.size}: {error}"
+    else:
+        assert tabulate(fn, n_max, "f").tobytes() == values.tobytes()
 
 
 def test_validate_range_returns_the_three_tables():

@@ -8,7 +8,7 @@ import pytest
 from gjc import analytic, oracle, states
 from gjc.analytic import trace_observables as analytic_trace
 from gjc.errors import ConfigError, TruncationError
-from gjc.model import registry, registry_model
+from gjc.model import load_model, registry, registry_model
 from gjc.oracle import (
     BLOCK_COLUMNS,
     HamiltonianMatrix,
@@ -29,6 +29,7 @@ from gjc.states import (
 )
 
 JC = registry_model("jc")
+OVERFLOW_450 = r"^non-finite result: the model overflows at n_max=450$"
 
 
 class TestAssemble:
@@ -72,6 +73,12 @@ class TestAssemble:
     def test_nmax_too_small(self):
         with pytest.raises(ConfigError):
             assemble(registry_model("intensity-multiboson"), 1)
+
+    def test_overflowing_model_is_refused(self):
+        # (m+k)!/m! overflows from k = 171 on: the coupling is infinite
+        spec = load_model(JC.to_dict() | {"k": 400})
+        with np.errstate(over="ignore"), pytest.raises(ConfigError, match=OVERFLOW_450):
+            assemble(spec, 450)
 
     def test_matrix_immutable(self):
         h = assemble(JC, 4)
@@ -324,6 +331,15 @@ class TestSpectrum:
         monkeypatch.setattr(np.linalg, "eigh", corrupted)
         with pytest.raises(ConfigError, match="residual"):
             spectrum(assemble(registry_model("q-deformed"), 256))
+
+    def test_nan_decomposition_rejected(self, monkeypatch):
+        # a NaN residual compares False with the bound, and must still fail
+        def nan(mat):
+            return np.full(mat.shape[0], np.nan), np.full(mat.shape, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan)
+        with pytest.raises(ConfigError, match="^eigendecomposition residual nan exceeds"):
+            spectrum(assemble(JC, 8))
 
 
 class TestConservation:

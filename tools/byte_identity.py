@@ -1,6 +1,12 @@
 """Check that this tree's `gjc` gives another tree's bytes.
 
     python3 tools/byte_identity.py PARENT_TREE
+    python3 tools/byte_identity.py REVISION      # for example HEAD
+
+PARENT_TREE is a checkout that holds src/gjc.  An argument that is not a
+directory is read as a git revision of this repository: it is checked out
+with `git worktree add --detach` in a temporary directory, and the worktree
+is removed afterwards, also when a step fails.
 
 Runs every command of one pass of the benchmark's `figures`, `scale` and
 `sweep` workloads (`perfbench/workloads.py` `build_plan`), seeds 1-4, and
@@ -114,14 +120,31 @@ def differences(parent, change) -> list:
     return lines
 
 
+@contextlib.contextmanager
+def checkout(parent: str, scratch: Path):
+    """`parent` if it is a directory, else a detached git worktree of the
+    revision `parent` in `scratch`, removed when the block ends."""
+    if Path(parent).is_dir():
+        yield Path(parent)
+        return
+    tree = scratch / "tree"
+    if subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), parent]).returncode:
+        raise SystemExit(f"{parent} is neither a directory nor a git revision")
+    try:
+        yield tree
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent_tree", type=Path, help="checkout to compare against (holds src/gjc)")
+    parser.add_argument("parent", help="checkout (holds src/gjc) or git revision to compare against")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="byte-identity-") as tmp:
         (Path(tmp) / "parent").mkdir()
         (Path(tmp) / "change").mkdir()
-        parent = outputs(args.parent_tree, Path(tmp) / "parent")
+        with checkout(args.parent, Path(tmp)) as parent_tree:
+            parent = outputs(parent_tree, Path(tmp) / "parent")
         change = outputs(ROOT, Path(tmp) / "change")
     lines = differences(parent, change)
     for line in lines:
