@@ -1121,7 +1121,6 @@ class TestOneEvaluationPerEngine:
 
             monkeypatch.setattr(model, "tabulate", counting)
             assert main([*argv, "--nmax", str(self.N_MAX), "--out", "result.out"]) == 0
-            monkeypatch.setattr(model, "tabulate", tabulate)
             return counts
 
         (tmp_path / "model.json").write_text(json.dumps(self.DOCUMENT))
