@@ -144,7 +144,7 @@ def manifolds(spec: ModelSpec, model_table) -> Manifolds:
     n_total = np.arange(nb) + k / 2.0
     phase_rate = spec.omega * n_total + center
     e_plus, e_minus = phase_rate + 0.5 * k * rabi, phase_rate - 0.5 * k * rabi
-    refuse_overflow(f.size - 1, beta, e_plus, e_minus)
+    refuse_overflow(f.size - 1, rabi, beta, e_plus, e_minus)
     return Manifolds(
         n_total=n_total,
         beta=beta,
@@ -171,9 +171,12 @@ def dressed_states(table: Manifolds) -> np.ndarray:
 
 
 def dark_levels(spec: ModelSpec, model_table) -> np.ndarray:
-    """Energies of the uncoupled ground levels |g,n>, n < k, from a (f, F, G) model table."""
+    """Energies of the uncoupled ground levels |g,n>, n < k, from a (f, F, G)
+    model table; a level that overflows there raises ConfigError."""
     _, F, G = model_table
-    return _diagonals(spec, F[: spec.k], G[: spec.k])[1]
+    dark = _diagonals(spec, F[: spec.k], G[: spec.k])[1]
+    refuse_overflow(F.size - 1, dark)
+    return dark
 
 
 def _diagonals(spec: ModelSpec, F, G):

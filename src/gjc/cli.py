@@ -16,6 +16,7 @@ import contextlib
 import errno
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import analytic, oracle
 from .algebra import verify_relations
-from .errors import ConfigError, TruncationError, refuse_overflow
+from .errors import ConfigError, TruncationError
 from .model import DEFAULT_N_MAX, load_model, registry, registry_model
 from .states import QubitBosonState, coherent_state, fock_state
 
@@ -226,23 +227,22 @@ def _divide(n, d):
     return quotient, n - quotient * d
 
 
-def _csv_text(block):
-    """The CSV lines of a block, a list of (label, table) parts with the
-    same columns, either all labelled or all plain, as one string: for each
-    row, its part's label and ',' padded with NULs to whole words, then a
-    slot of _ascii_words per column, and no NUL.  A labelled row's first
-    column, an integer below 2^53, keeps only its d and its E digits after
-    the point.  The unsure values of _digits take their digits and exponent
-    from '%.16e' itself, one value at a time."""
+def _csv_text(values, labels=None):
+    """The CSV lines of a block of rows, a 2-D array, as one string: for
+    each row, its label words if `labels` holds them (a (rows, width) uint32
+    array of `label,` padded with NULs to whole words), then a slot of
+    _ascii_words per column, and no NUL.  A labelled row's first column, an
+    integer below 2^53, keeps only its d and its E digits after the point.
+    The unsure values of _digits take their digits and exponent from
+    '%.16e' itself, one value at a time."""
     digits, heads, tails = _ascii_words()
-    values = np.concatenate([table for _, table in block])
     rows, columns = values.shape
     N, E, unsure = _digits(np.abs(values).ravel())
     for i in unsure.nonzero()[0].tolist():
         mantissa, power = ("%.16e" % abs(values.flat[i])).split("e")
         N[i], E[i] = int(mantissa.replace(".", "")), int(power)
     N, E = N.reshape(rows, columns), E.reshape(rows, columns)
-    width = -(-max(len(label) + 1 for label, _ in block) // 4) if block[0][0] is not None else 0
+    width = 0 if labels is None else labels.shape[1]
     words = np.empty((rows, width + 7 * columns), np.uint32)
     slots = words[:, width:]
     first, rest = _divide(N, 10**16)
@@ -256,58 +256,40 @@ def _csv_text(block):
     end[:, -1] += _E_MAX - _E_MIN + 1
     slots[:, 5::7], slots[:, 6::7] = tails.take(end, axis=1)
     if width:
-        start = 0
-        for label, table in block:
-            text = f"{label},".ljust(4 * width, "\0").encode("ascii")
-            words[start : start + table.shape[0], :width] = np.frombuffer(text, np.uint32)
-            start += table.shape[0]
+        words[:, :width] = labels
         number = slots[:, :7].view(np.uint8)
         number[:, 3] = number[:, 20:25] = 0
         number[:, 4:20][np.arange(16) >= E[:, :1]] = 0
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_rows(sections):
-    """The lines of every (label, table) section, in order, as text pieces
-    of at most CSV_BLOCK_ROWS lines; a block holds the rows of as many
-    sections as fit.  A labelled section writes `label,n_lower,` before each
-    row's values, n_lower being the table's first column."""
-    block, rows = [], 0
-    for label, table in sections:
-        start = 0
-        while start < table.shape[0]:
-            part = table[start : start + CSV_BLOCK_ROWS - rows]
-            block.append((label, part))
-            start, rows = start + part.shape[0], rows + part.shape[0]
-            if rows == CSV_BLOCK_ROWS:
-                yield _csv_text(block)
-                block, rows = [], 0
-    if block:
-        yield _csv_text(block)
+def _csv_rows(columns, labels=()):
+    """The lines of equal-length 1-D columns as text pieces of at most
+    CSV_BLOCK_ROWS lines, each stacked from its rows of every column alone.
+    `labels`, a list of (label, rows) runs over all the rows in order,
+    makes each row start `label,n_lower,`, n_lower being its first column."""
+    if labels:
+        width = -(-max(len(label) + 1 for label, _ in labels) // 4)
+        text = "".join(f"{label},".ljust(4 * width, "\0") for label, _ in labels)
+        words = np.frombuffer(text.encode("ascii"), np.uint32).reshape(-1, width)
+        ends = list(itertools.accumulate(rows for _, rows in labels))
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([column[start : start + CSV_BLOCK_ROWS] for column in columns])
+        if labels:
+            run = np.searchsorted(ends, np.arange(start, start + block.shape[0]), side="right")
+            yield _csv_text(block, words[run])
+        else:
+            yield _csv_text(block)
 
 
-def _write_csv(sink, manifest: dict, columns: str, sections) -> None:
-    """Header lines, the column row and one line per table row of each
-    (label, table) section, written to `sink` CSV_BLOCK_ROWS rows at a time
-    by _csv_rows: each value as '%.16e' writes it, after `label,n_lower,`
-    in a labelled section, whose table holds n_lower in its first column.
-
-    A non-finite value means the model overflowed at this cutoff, or, in
-    an evolution, whose engines refuse an overflowing model, the phase
-    t*E at this final time; every table is checked first, and nothing is
-    written then.
-    """
-    tables = [table for _, table in sections]
-    if "t_max" not in manifest:
-        refuse_overflow(manifest["n_max"], *tables)
-    elif not all(np.isfinite(table).all() for table in tables):
-        raise ConfigError(
-            f"non-finite result: t*E overflows at --tmax {manifest['t_max']!r} with --nmax {manifest['n_max']}"
-        )
+def _write_csv(sink, manifest: dict, header: str, columns, labels=()) -> None:
+    """Header lines, the column row `header` and one line per row of the
+    equal-length 1-D `columns`, labelled by the (label, rows) runs of
+    `labels`, written to `sink` CSV_BLOCK_ROWS rows at a time by _csv_rows:
+    each value as '%.16e' writes it."""
     manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    header = f"# format: {FORMAT_VERSION}\n# manifest: {manifest_json}\n{columns}\n"
-    sink.write(header)
-    sink.writelines(_csv_rows(sections))
+    sink.write(f"# format: {FORMAT_VERSION}\n# manifest: {manifest_json}\n{header}\n")
+    sink.writelines(_csv_rows(columns, labels))
 
 
 def _resolve_model(args):
@@ -371,13 +353,12 @@ def cmd_spectrum(args, sink) -> int:
     model_table = spec.validate_range(args.n_max)
     dark = analytic.dark_levels(spec, model_table)
     m = analytic.manifolds(spec, model_table)
-    lower, zeros = np.arange(spec.k), np.zeros(spec.k)
-    dark_rows = np.column_stack([lower, lower - spec.k / 2.0, zeros, zeros, dark, dark])
-    manifold_rows = np.column_stack(
-        [np.arange(m.beta.size), m.n_total, m.beta, m.rabi_frequency, m.e_plus, m.e_minus]
-    )
-    sections = [("dark", dark_rows), ("manifold", manifold_rows)]
-    _write_csv(sink, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", sections)
+    lower, zeros, nb = np.arange(spec.k), np.zeros(spec.k), m.beta.size
+    dark_rows = (lower, lower - spec.k / 2.0, zeros, zeros, dark, dark)
+    manifold_rows = (np.arange(nb), m.n_total, m.beta, m.rabi_frequency, m.e_plus, m.e_minus)
+    columns = list(map(np.concatenate, zip(dark_rows, manifold_rows)))
+    labels = [("dark", spec.k), ("manifold", nb)]
+    _write_csv(sink, _manifest(args), "kind,n_lower,N,beta,Omega,E_plus,E_minus", columns, labels)
     return EXIT_OK
 
 
@@ -401,7 +382,10 @@ def cmd_evolve(args, sink) -> int:
     if args.engine == "both":
         columns += ["resid_sigma_z", "resid_n_mean", "resid_x_mean", "resid_y_mean"]
         data += tuple(np.abs(a - b) for a, b in zip(data, oracle_data))
-    _write_csv(sink, _manifest(args), ",".join(columns), [(None, np.column_stack([times, *data]))])
+    # the engines refuse an overflowing model, so a non-finite value is t*E
+    if not all(np.isfinite(column).all() for column in data):
+        raise ConfigError(f"non-finite result: t*E overflows at --tmax {args.t_max!r} with --nmax {args.n_max}")
+    _write_csv(sink, _manifest(args), ",".join(columns), [times, *data])
     return EXIT_OK
 
 

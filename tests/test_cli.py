@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,12 +472,28 @@ class TestErrors:
         assert not out.exists()
 
     def test_overflow_of_the_final_time_names_tmax(self, tmp_path, capsys):
+        # refused before the write: no file, and nothing on stdout
         out = tmp_path / "trace.csv"
-        argv = ["evolve", "--model", "jc", "--tmax", "1e308", "--points", "3", "--out", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: non-finite result: t*E overflows at --tmax 1e+308 with --nmax 64"]
+        argv = ["evolve", "--model", "jc", "--tmax", "1e308", "--points", "3"]
+        for target in (["--out", str(out)], []):
+            assert main(argv + target) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "error: non-finite result: t*E overflows at --tmax 1e+308 with --nmax 64"
+            ]
+            assert captured.out == ""
         assert not out.exists()
+
+    # F = -G, and the ground diagonal 2 G(n) overflows on the dark levels alone
+    DARK_OVERFLOW = {"k": 4, "F": {"kind": "Poly", "params": [-1.7e308, 2.5e307]},
+                     "G": {"kind": "Poly", "params": [1.7e308, -2.5e307]}}
+
+    @staticmethod
+    def _model_file(path, doc):
+        zero = {"kind": "Zero", "params": []}
+        path.write_text(json.dumps({"omega": 1.0, "omega0": 1.0, "g": 0.1, "f": {"kind": "One", "params": []},
+                                    "F": zero, "G": zero, **doc}))
+        return str(path)
 
     @pytest.mark.parametrize("engine", ["analytic", "oracle", "both"])
     @pytest.mark.parametrize(
@@ -484,24 +501,31 @@ class TestErrors:
         [
             # (m+400)!/m! overflows: every coupling is infinite
             ({"k": 400, "f": {"kind": "One", "params": []}}, 450),
-            # F = -G, and the ground diagonal 2 G(n) overflows on the dark levels alone
-            ({"k": 4, "F": {"kind": "Poly", "params": [-1.7e308, 2.5e307]},
-              "G": {"kind": "Poly", "params": [1.7e308, -2.5e307]}}, 6),
+            (DARK_OVERFLOW, 6),
         ],
         ids=["coupling", "dark-levels"],
     )
     def test_overflowing_model_names_nmax_not_tmax(self, engine, doc, n_max, tmp_path, capsys):
         # the model overflows whatever the final time: --tmax is not at fault
-        zero = {"kind": "Zero", "params": []}
-        doc = {"omega": 1.0, "omega0": 1.0, "g": 0.1, "f": {"kind": "One", "params": []},
-               "F": zero, "G": zero, **doc}
-        cfg, out = tmp_path / "model.json", tmp_path / "trace.csv"
-        cfg.write_text(json.dumps(doc))
-        argv = ["evolve", "--config", str(cfg), "--nmax", str(n_max), "--tmax", "1e-300",
-                "--initial", "fock:e:0", "--engine", engine]
+        out = tmp_path / "trace.csv"
+        argv = ["evolve", "--config", self._model_file(tmp_path / "model.json", doc), "--nmax", str(n_max),
+                "--tmax", "1e-300", "--initial", "fock:e:0", "--engine", engine]
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: non-finite result: the model overflows at n_max={n_max}"]
+        assert not out.exists()
+
+    def test_spectrum_of_overflowing_dark_levels_names_nmax(self, tmp_path, capsys):
+        # the manifolds are finite at n_max 6; the dark levels are refused
+        # before the write: no file, and nothing on stdout
+        out = tmp_path / "spectrum.csv"
+        argv = ["spectrum", "--config", self._model_file(tmp_path / "model.json", self.DARK_OVERFLOW),
+                "--nmax", "6"]
+        for target in (["--out", str(out)], []):
+            assert main(argv + target) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == ["error: non-finite result: the model overflows at n_max=6"]
+            assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
@@ -764,61 +788,62 @@ class TestErrors:
         assert err.splitlines() == ["error: cannot write to stdout: No space left on device"]
 
 
-def _one_shot_csv(manifest, columns, sections):
+def _one_shot_csv(manifest, header, columns, labels=()):
     """The CSV text as one join of every line, each formatted on its own:
-    the reference for the streamed writer.  A section is (label, table)."""
+    the reference for the streamed writer.  `labels` holds (label, rows)
+    runs over the rows of the equal-length `columns`, in order."""
+    names = [label for label, rows in labels for _ in range(rows)]
     lines = []
-    for label, table in sections:
-        for values in table.tolist():
-            cells = [f"{v:.16e}" for v in values]
-            if label is not None:
-                cells = [label, str(int(values[0]))] + cells[1:]
-            lines.append(",".join(cells))
+    for i, values in enumerate(np.column_stack(columns).tolist()):
+        cells = [f"{v:.16e}" for v in values]
+        if labels:
+            cells = [names[i], str(int(values[0]))] + cells[1:]
+        lines.append(",".join(cells))
     manifest_json = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    header = [f"# format: {cli.FORMAT_VERSION}", f"# manifest: {manifest_json}", columns]
-    return "\n".join(header + lines) + "\n"
+    return "\n".join([f"# format: {cli.FORMAT_VERSION}", f"# manifest: {manifest_json}", header] + lines) + "\n"
 
 
 class TestStreamedCsv:
-    """_write_csv formats and writes CSV_BLOCK_ROWS rows of (label, table)
-    sections at a time; its bytes are those of the one-shot join, as text
-    and through _output to a file.  The tables mix scaled normals, random
-    bit patterns, edge values and zeros of both signs, and a labelled table's
-    row numbers have 1 to 7 digits, as `spectrum --nmax 1000000` writes."""
+    """_write_csv formats and writes CSV_BLOCK_ROWS rows of its columns at a
+    time, labelled by (label, rows) runs or plain; its bytes are those of
+    the one-shot join, as text and through _output to a file.  The columns
+    mix scaled normals, random bit patterns, edge values and zeros of both
+    signs, and a labelled table's row numbers have 1 to 7 digits, as
+    `spectrum --nmax 1000000` writes."""
 
     B = cli.CSV_BLOCK_ROWS
     MANIFEST = {"mode": "spectrum", "model": "jc", "n_max": 8}
     EDGES = check_csv_digits.edge_values()
 
     @classmethod
-    def _table(cls, rows, labelled=False, seed=0):
+    def _columns(cls, rows, labelled=False, seed=0):
         rng = np.random.default_rng([rows, seed])
         scale = 10.0 ** rng.integers(-300, 300, size=rows)
         bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64)
-        edges = rng.choice(cls.EDGES, size=rows)
-        table = np.column_stack([rng.standard_normal(rows) * scale, np.where(np.isfinite(bits), bits, 0.0), edges])
-        table[::7, 1] = 0.0
-        table[3::7, 0] = -0.0
+        columns = [rng.standard_normal(rows) * scale, np.where(np.isfinite(bits), bits, 0.0),
+                   rng.choice(cls.EDGES, size=rows)]
+        columns[1][::7] = 0.0
+        columns[0][3::7] = -0.0
         if labelled:
             digits = 1 + np.arange(rows) % 7
-            table = np.column_stack([rng.integers(10 ** (digits - 1) - (digits == 1), 10**digits), table])
-        return table
+            columns.insert(0, rng.integers(10 ** (digits - 1) - (digits == 1), 10**digits))
+        return columns
 
-    def _write(self, sink, sections):
-        """_write_csv of (label, table) sections; returns the reference text."""
-        cli._write_csv(sink, self.MANIFEST, "a,b,c", sections)
-        return _one_shot_csv(self.MANIFEST, "a,b,c", sections)
+    def _write(self, sink, columns, labels=()):
+        """_write_csv of the columns and label runs; returns the reference text."""
+        cli._write_csv(sink, self.MANIFEST, "a,b,c", columns, labels)
+        return _one_shot_csv(self.MANIFEST, "a,b,c", columns, labels)
 
-    def _write_file(self, out, sections):
+    def _write_file(self, out, columns, labels=()):
         """_write_csv through _output(out); returns the reference text."""
         with cli._output(str(out)) as sink:
-            return self._write(sink, sections)
+            return self._write(sink, columns, labels)
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
     def test_file_bytes_are_the_one_shot_join(self, rows, labelled, tmp_path):
         out = tmp_path / "table.csv"
-        expected = self._write_file(out, [("row" if labelled else None, self._table(rows, labelled))])
+        expected = self._write_file(out, self._columns(rows, labelled), [("row", rows)] if labelled else ())
         assert out.read_bytes() == expected.encode()
         assert list(tmp_path.iterdir()) == [out]
 
@@ -826,33 +851,23 @@ class TestStreamedCsv:
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
     def test_stdout_text_is_the_one_shot_join(self, rows, labelled):
         sink = io.StringIO()
-        expected = self._write(sink, [("row" if labelled else None, self._table(rows, labelled))])
+        expected = self._write(sink, self._columns(rows, labelled), [("row", rows)] if labelled else ())
         assert sink.getvalue() == expected
 
     @pytest.mark.parametrize(
         "first, second", [(1, 2 * B + 1), (B - 1, 2), (B, B + 1), (B + 1, B - 1), (0, B), (B + 3, 0)]
     )
     def test_two_sections_are_the_one_shot_join(self, first, second, tmp_path):
-        # as cmd_spectrum writes them: a block holds the rows of both sections
-        sections = [("dark", self._table(first, True)), ("manifold", self._table(second, True, 1))]
+        # as cmd_spectrum writes them: two label runs, the second starting
+        # anywhere in a block or at its edge
+        columns = list(map(np.concatenate, zip(self._columns(first, True), self._columns(second, True, 1))))
+        labels = [("dark", first), ("manifold", second)]
         out = tmp_path / "table.csv"
-        expected = self._write_file(out, sections)
+        expected = self._write_file(out, columns, labels)
         assert out.read_bytes() == expected.encode()
         sink = io.StringIO()
-        self._write(sink, sections)
+        self._write(sink, columns, labels)
         assert sink.getvalue() == expected
-
-    def test_non_finite_table_writes_nothing(self, tmp_path, capsys):
-        out = tmp_path / "table.csv"
-        for faulty in (0, 1):
-            sections = [("dark", self._table(3, True)), ("manifold", self._table(2 * self.B + 1, True))]
-            sections[faulty][1][-1, 2] = np.inf
-            for target in (str(out), None):
-                with pytest.raises(ConfigError, match="non-finite result"):
-                    with cli._output(target) as sink:
-                        self._write(sink, sections)
-        assert capsys.readouterr().out == ""
-        assert list(tmp_path.iterdir()) == []
 
     def test_failure_mid_stream_keeps_the_target(self, tmp_path, monkeypatch):
         out = tmp_path / "table.csv"
@@ -860,24 +875,42 @@ class TestStreamedCsv:
         seen = []
         rows = cli._csv_rows
 
-        def failing(sections):
-            # the first section is written before the second one fails
-            yield from rows(sections[:1])
+        def failing(columns, labels):
+            # the first block is written before the row source fails
+            yield next(rows(columns, labels))
             seen.extend(p.name for p in tmp_path.glob(".gjc-*.tmp"))
             raise RuntimeError("row source failed")
 
         monkeypatch.setattr(cli, "_csv_rows", failing)
-        sections = [("dark", self._table(self.B + 5, True)), ("manifold", self._table(3, True))]
+        columns = self._columns(self.B + 8, True)
         with pytest.raises(RuntimeError, match="row source failed"):
-            self._write_file(out, sections)
+            self._write_file(out, columns, [("dark", self.B + 5), ("manifold", 3)])
         assert len(seen) == 1
         assert out.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [out]
 
 
+    @pytest.mark.parametrize("engine, bound", [("analytic", 64), ("both", 144)])
+    def test_no_copy_of_the_whole_table(self, engine, bound, tmp_path):
+        # the times and the engines' columns hold 40 B a point (104 with
+        # both traces and the residuals); a stacked copy of the written
+        # table would add 40 (72) more
+        points = 200_000
+        argv = ["evolve", "--model", "jc", "--nmax", "8", "--initial", "fock:e:0", "--points", str(points),
+                "--engine", engine, "--out", str(tmp_path / "trace.csv")]
+        assert main(argv) == 0  # the warm-up: caches and the parser
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / points < bound
+
+
 def _written(values):
-    """The lines _csv_rows writes for a plain one-column table of values."""
-    return "".join(cli._csv_rows([(None, np.asarray(values, np.float64).reshape(-1, 1))])).splitlines()
+    """The lines _csv_rows writes for one plain column of values."""
+    return "".join(cli._csv_rows([np.asarray(values, np.float64)])).splitlines()
 
 
 class TestValueDigits:

@@ -63,7 +63,7 @@ def edge_values() -> np.ndarray:
 
 def mismatches(values: np.ndarray) -> list:
     """(value, written, '%.16e' % value) for each value whose line differs."""
-    written = "".join(cli._csv_rows([(None, values.reshape(-1, 1))]))
+    written = "".join(cli._csv_rows([values]))
     expected = ("%.16e\n" * values.size) % tuple(values.tolist())
     if written == expected:
         return []
